@@ -16,11 +16,12 @@
 //!   [`logicsim::WordActivity`] words (one `count_ones` per net) into
 //!   streaming per-net moment estimates; integer internals make the
 //!   accumulation exact and backend-independent.
-//! * [`BreakdownEstimator`] / [`BreakdownSession`] — a
-//!   [`dipe::PowerEstimator`] that reuses the DIPE flow (warm-up,
-//!   runs-test interval selection, block-wise sampling) but records per-net
-//!   activity alongside every total-power sample, and can target either
-//!   total-power convergence or the two-tier per-node rule of
+//! * [`BreakdownEstimator`] (and its sharded counterpart) — a
+//!   [`dipe::PowerEstimator`] that runs the DIPE flow (warm-up, runs-test
+//!   interval selection, block-wise sampling) through the core
+//!   [`dipe::session::Session`] with a per-net fold: it records per-net activity
+//!   alongside every total-power sample, and can target either total-power
+//!   convergence or the two-tier per-node rule of
 //!   [`seqstats::NodeStoppingPolicy`] (top-K max relative error plus an
 //!   absolute floor for quiet nets).
 //! * the finished [`dipe::Estimate`] carries a [`power::PowerBreakdown`]
@@ -66,5 +67,5 @@ mod session;
 mod sharded;
 
 pub use accumulator::NodeActivityAccumulator;
-pub use session::{BreakdownEstimator, BreakdownSession, ConvergenceTarget};
-pub use sharded::{ShardedBreakdownEstimator, ShardedBreakdownSession};
+pub use session::{BreakdownEstimator, ConvergenceTarget};
+pub use sharded::ShardedBreakdownEstimator;

@@ -1,17 +1,19 @@
-//! The node-breakdown estimator: a re-entrant [`dipe::EstimationSession`]
-//! that rides the DIPE flow (warm-up, runs-test interval selection,
-//! block-wise sampling) while folding every measured cycle's per-net
-//! transition record into a [`NodeActivityAccumulator`], and stops on either
-//! the scalar total-power criterion or the two-tier per-node policy.
+//! The node-breakdown estimator: the DIPE flow (warm-up, runs-test interval
+//! selection, block-wise sampling) run through the core
+//! [`dipe::session::Session`] with a per-net fold — every measured cycle's
+//! transition record lands in a [`NodeActivityAccumulator`], and the run
+//! stops on either the scalar total-power criterion or the two-tier
+//! per-node policy.
 
-use std::time::Instant;
-
-use dipe::checkpoint::{SessionCheckpoint, CHECKPOINT_VERSION};
-use dipe::estimate::{CycleBudget, Estimate, EstimationSession, Progress, SessionPhase};
-use dipe::independence::{IndependenceSelection, IntervalSelector, SelectorStep};
+use dipe::checkpoint::SessionCheckpoint;
+use dipe::estimate::{EstimationSession, NodeBreakdownDiagnostics};
+use dipe::independence::IndependenceSelection;
+use dipe::session::{Session, ShardFold, Source};
+use dipe::shards::SerialFront;
 use dipe::{Diagnostics, DipeConfig, DipeError, PowerEstimator, PowerSampler};
+use logicsim::GlitchActivity;
 use netlist::Circuit;
-use seqstats::{NodeStoppingDecision, NodeStoppingPolicy, PooledSampleState, StoppingCriterion};
+use seqstats::{MomentAccumulatorState, NodeStoppingDecision, NodeStoppingPolicy};
 
 use crate::accumulator::NodeActivityAccumulator;
 
@@ -97,41 +99,37 @@ impl BreakdownEstimator {
         input_model: &dipe::input::InputModel,
         checkpoint: &SessionCheckpoint,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError> {
-        checkpoint.validate_for(&self.name())?;
-        let state =
-            checkpoint
-                .accumulator
-                .as_ref()
-                .ok_or_else(|| DipeError::InvalidCheckpoint {
-                    message: "checkpoint carries no per-net accumulator state; it was not taken \
-                          from a breakdown session"
-                        .to_string(),
-                })?;
-        let accumulator = NodeActivityAccumulator::from_state(state, circuit.num_nets())
-            .map_err(|message| DipeError::InvalidCheckpoint { message })?;
-        let mut sampler = PowerSampler::new(circuit, config, input_model, 0)?;
-        sampler.restore(&checkpoint.sampler)?;
-        Ok(Box::new(BreakdownSession::resume_at(
-            self.name(),
-            config,
-            sampler,
-            self.node_policy,
-            self.target,
-            accumulator,
-            checkpoint,
-        )))
+        let sampler = PowerSampler::new(circuit, config, input_model, 0)?;
+        let fold = self.fold(&sampler);
+        let session = Session::resume(self.name(), config, sampler, fold, checkpoint)?;
+        Ok(Box::new(session))
+    }
+
+    /// The stopping rule's part of the estimator name.
+    pub(crate) fn stop_label(&self) -> String {
+        match self.target {
+            ConvergenceTarget::TotalPower => "total-power stop".to_string(),
+            ConvergenceTarget::NodeBreakdown => {
+                format!("top-{} per-node stop", self.node_policy.top_k())
+            }
+        }
+    }
+
+    /// The per-net fold of a run on `sampler`'s circuit and loads.
+    pub(crate) fn fold<'c>(&self, sampler: &PowerSampler<'c>) -> ActivityFold<'c> {
+        ActivityFold {
+            circuit: sampler.circuit(),
+            technology: sampler.calculator().technology(),
+            loads: sampler.calculator().loads().clone(),
+            node_policy: self.node_policy,
+            target: self.target,
+        }
     }
 }
 
 impl PowerEstimator for BreakdownEstimator {
     fn name(&self) -> String {
-        match self.target {
-            ConvergenceTarget::TotalPower => "node breakdown (total-power stop)".to_string(),
-            ConvergenceTarget::NodeBreakdown => format!(
-                "node breakdown (top-{} per-node stop)",
-                self.node_policy.top_k()
-            ),
-        }
+        format!("node breakdown ({})", self.stop_label())
     }
 
     fn start<'c>(
@@ -142,464 +140,119 @@ impl PowerEstimator for BreakdownEstimator {
         seed_offset: u64,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError> {
         let sampler = PowerSampler::new(circuit, config, input_model, seed_offset)?;
-        Ok(Box::new(BreakdownSession::new(
+        let fold = self.fold(&sampler);
+        Ok(Box::new(Session::start(
             self.name(),
             config,
-            sampler,
-            self.node_policy,
-            self.target,
+            SerialFront::new(sampler, config),
+            fold,
+            Source::Inline,
         )))
     }
 }
 
-enum State {
-    Warmup {
-        remaining: usize,
-    },
-    SelectInterval {
-        selector: IntervalSelector,
-    },
-    Sampling {
-        selection: IndependenceSelection,
-        sample: Vec<f64>,
-        last_total_rhw: Option<f64>,
-        last_node: Option<NodeStoppingDecision>,
-    },
-    Done(Estimate),
-    Failed(DipeError),
-}
-
-/// The running session behind [`BreakdownEstimator`]. Stepping it in any
-/// budget increments produces exactly the same simulation sequence — and the
-/// same estimate and breakdown — as running it to completion in one call.
-pub struct BreakdownSession<'c> {
-    name: String,
-    config: DipeConfig,
-    sampler: PowerSampler<'c>,
-    criterion: Box<dyn StoppingCriterion>,
+/// The per-net fold of node-resolved estimation: every block carries an
+/// exact per-net activity delta for its measured cycles, the pooled payload
+/// is their merge (per-net integer sums make the merge order-independent,
+/// and the glitch decomposition merges exactly), and the per-node policy
+/// ranks nets by estimated power — capacitance-weighted activity, not raw
+/// activity.
+pub(crate) struct ActivityFold<'c> {
+    circuit: &'c Circuit,
+    technology: power::Technology,
+    loads: power::LoadCapacitances,
     node_policy: NodeStoppingPolicy,
     target: ConvergenceTarget,
-    accumulator: NodeActivityAccumulator,
-    /// Per-net load capacitances in farads, the ranking weight of the
-    /// per-node policy (top-K by estimated *power*, not raw activity).
-    capacitances_f: Vec<f64>,
-    state: State,
-    elapsed_seconds: f64,
-    /// Snapshot taken at sampling entry — see
-    /// [`EstimationSession::warm_checkpoint`].
-    warm: Option<SessionCheckpoint>,
 }
 
-impl<'c> BreakdownSession<'c> {
-    fn new(
-        name: String,
-        config: &DipeConfig,
-        sampler: PowerSampler<'c>,
-        node_policy: NodeStoppingPolicy,
-        target: ConvergenceTarget,
-    ) -> BreakdownSession<'c> {
-        let accumulator = NodeActivityAccumulator::for_circuit(sampler.circuit());
-        let capacitances_f = sampler.calculator().loads().as_slice().to_vec();
-        BreakdownSession {
-            name,
-            criterion: config.build_criterion(),
-            config: config.clone(),
-            node_policy,
-            target,
-            accumulator,
-            capacitances_f,
-            sampler,
-            state: State::Warmup {
-                remaining: config.warmup_cycles,
-            },
-            elapsed_seconds: 0.0,
-            warm: None,
-        }
+impl ShardFold for ActivityFold<'_> {
+    type Block = NodeActivityAccumulator;
+
+    fn new_block(&self) -> NodeActivityAccumulator {
+        NodeActivityAccumulator::for_circuit(self.circuit)
     }
 
-    /// Rebuilds a session at a checkpoint's exact position, directly in the
-    /// sampling phase. `sampler` must already be restored to the
-    /// checkpoint's sampler state and `accumulator` to its moment sums.
-    fn resume_at(
-        name: String,
-        config: &DipeConfig,
-        sampler: PowerSampler<'c>,
-        node_policy: NodeStoppingPolicy,
-        target: ConvergenceTarget,
-        accumulator: NodeActivityAccumulator,
-        checkpoint: &SessionCheckpoint,
-    ) -> BreakdownSession<'c> {
-        let capacitances_f = sampler.calculator().loads().as_slice().to_vec();
-        BreakdownSession {
-            name,
-            criterion: config.build_criterion(),
-            config: config.clone(),
-            node_policy,
-            target,
-            accumulator,
-            capacitances_f,
-            sampler,
-            state: State::Sampling {
-                selection: checkpoint.selection.clone(),
-                sample: checkpoint.sample.to_values(),
-                last_total_rhw: checkpoint.last_rhw(),
-                // Re-established at the next block boundary; only progress
-                // reporting between boundaries is affected, never the final
-                // estimate (termination re-evaluates the policy anyway).
-                last_node: None,
-            },
-            elapsed_seconds: checkpoint.elapsed_seconds,
-            warm: checkpoint.is_warm().then(|| checkpoint.clone()),
-        }
+    fn observe(&self, block: &mut NodeActivityAccumulator, activity: &GlitchActivity) {
+        block.add_glitch_cycle(activity);
     }
 
-    fn checkpoint_from(
+    fn merge(&self, pooled: &mut NodeActivityAccumulator, block: &NodeActivityAccumulator) {
+        pooled.merge(block);
+    }
+
+    fn node_decision(&self, pooled: &NodeActivityAccumulator) -> Option<NodeStoppingDecision> {
+        let means = pooled.means();
+        let std_errors = pooled.std_errors();
+        let weights: Vec<f64> = means
+            .iter()
+            .zip(self.loads.as_slice())
+            .map(|(&mean, &cap)| mean * cap)
+            .collect();
+        Some(self.node_policy.evaluate(
+            &means,
+            &std_errors,
+            &weights,
+            pooled.observations() as usize,
+        ))
+    }
+
+    fn node_decides(&self) -> bool {
+        self.target == ConvergenceTarget::NodeBreakdown
+    }
+
+    fn diagnostics(
         &self,
-        selection: &IndependenceSelection,
-        sample: &[f64],
-        last_total_rhw: Option<f64>,
-    ) -> SessionCheckpoint {
-        SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
-            estimator: self.name.clone(),
-            sampler: self.sampler.snapshot(),
-            selection: selection.clone(),
-            sample: PooledSampleState::from_values(sample),
-            last_rhw_bits: last_total_rhw.map(f64::to_bits),
-            elapsed_seconds: self.elapsed_seconds,
-            accumulator: Some(self.accumulator.snapshot()),
-        }
-    }
-
-    fn phase(&self) -> SessionPhase {
-        match self.state {
-            State::Warmup { .. } => SessionPhase::Warmup,
-            State::SelectInterval { .. } => SessionPhase::IntervalSelection,
-            _ => SessionPhase::Sampling,
-        }
-    }
-
-    fn samples_collected(&self) -> usize {
-        match &self.state {
-            State::Sampling { sample, .. } => sample.len(),
-            State::Done(estimate) => estimate.sample_size,
-            _ => 0,
-        }
-    }
-
-    fn current_rhw(&self) -> Option<f64> {
-        match &self.state {
-            State::Sampling {
-                last_total_rhw,
-                last_node,
-                ..
-            } => match self.target {
-                ConvergenceTarget::TotalPower => *last_total_rhw,
-                ConvergenceTarget::NodeBreakdown => {
-                    last_node.as_ref().map(|d| d.worst_relative_half_width)
-                }
-            },
-            State::Done(estimate) => estimate.relative_half_width,
-            _ => None,
-        }
-    }
-
-    /// Evaluates the per-node policy on the accumulator's current state,
-    /// ranking nets by estimated power (capacitance-weighted activity).
-    fn evaluate_node_policy(&self) -> NodeStoppingDecision {
-        evaluate_node_policy(&self.accumulator, &self.capacitances_f, self.node_policy)
-    }
-
-    fn finish(
-        &mut self,
+        pooled: &NodeActivityAccumulator,
         selection: IndependenceSelection,
+        criterion: String,
         sample: Vec<f64>,
-        total_rhw: f64,
-        node_decision: NodeStoppingDecision,
-        elapsed_seconds: f64,
-    ) -> Estimate {
+        node: Option<NodeStoppingDecision>,
+    ) -> Diagnostics {
+        // By Eq. (1) the breakdown's capacitance-weighted activity total
+        // equals the estimate's sample mean up to floating-point
+        // association.
+        let breakdown = power::PowerBreakdown::from_activity(
+            self.circuit,
+            self.technology,
+            &self.loads,
+            &pooled.means(),
+            &pooled.std_errors(),
+            &pooled.glitch_means(),
+            pooled.observations(),
+        );
         let criterion = match self.target {
-            ConvergenceTarget::TotalPower => self.criterion.name().to_string(),
-            ConvergenceTarget::NodeBreakdown => node_criterion_label(self.node_policy),
+            ConvergenceTarget::TotalPower => criterion,
+            ConvergenceTarget::NodeBreakdown => format!(
+                "per-node top-{} (eps {}, confidence {}, floor {})",
+                self.node_policy.top_k(),
+                self.node_policy.relative_error(),
+                self.node_policy.confidence(),
+                self.node_policy.activity_floor()
+            ),
         };
-        let mut estimate = breakdown_estimate(BreakdownEstimateParts {
-            name: self.name.clone(),
-            circuit: self.sampler.circuit(),
-            technology: self.sampler.calculator().technology(),
-            loads: self.sampler.calculator().loads(),
-            accumulator: &self.accumulator,
-            sample,
-            total_rhw,
-            node_decision,
+        Diagnostics::NodeBreakdown(Box::new(NodeBreakdownDiagnostics {
             selection,
             criterion,
-            cycle_counts: self.sampler.cycle_counts(),
-            elapsed_seconds,
-        });
-        estimate.sim_profile = Some(self.sampler.sim_profile());
-        estimate
-    }
-}
-
-/// Evaluates the two-tier per-node policy on an accumulator's current
-/// state, ranking nets by estimated power (capacitance-weighted activity).
-/// Shared by the single-threaded session and the sharded merger.
-pub(crate) fn evaluate_node_policy(
-    accumulator: &NodeActivityAccumulator,
-    capacitances_f: &[f64],
-    node_policy: NodeStoppingPolicy,
-) -> NodeStoppingDecision {
-    let means = accumulator.means();
-    let std_errors = accumulator.std_errors();
-    let weights: Vec<f64> = means
-        .iter()
-        .zip(capacitances_f)
-        .map(|(&mean, &cap)| mean * cap)
-        .collect();
-    node_policy.evaluate(
-        &means,
-        &std_errors,
-        &weights,
-        accumulator.observations() as usize,
-    )
-}
-
-/// The stopping-rule label of a node-targeted session.
-pub(crate) fn node_criterion_label(node_policy: NodeStoppingPolicy) -> String {
-    format!(
-        "per-node top-{} (eps {}, confidence {}, floor {})",
-        node_policy.top_k(),
-        node_policy.relative_error(),
-        node_policy.confidence(),
-        node_policy.activity_floor()
-    )
-}
-
-/// Everything needed to assemble a breakdown [`Estimate`] — shared by the
-/// single-threaded session and the sharded runner so the reported record
-/// can never diverge between the two paths.
-pub(crate) struct BreakdownEstimateParts<'a> {
-    pub name: String,
-    pub circuit: &'a Circuit,
-    pub technology: power::Technology,
-    pub loads: &'a power::LoadCapacitances,
-    pub accumulator: &'a NodeActivityAccumulator,
-    pub sample: Vec<f64>,
-    pub total_rhw: f64,
-    pub node_decision: NodeStoppingDecision,
-    pub selection: IndependenceSelection,
-    pub criterion: String,
-    pub cycle_counts: dipe::sampler::CycleCounts,
-    pub elapsed_seconds: f64,
-}
-
-pub(crate) fn breakdown_estimate(parts: BreakdownEstimateParts<'_>) -> Estimate {
-    let breakdown = power::PowerBreakdown::from_activity(
-        parts.circuit,
-        parts.technology,
-        parts.loads,
-        &parts.accumulator.means(),
-        &parts.accumulator.std_errors(),
-        &parts.accumulator.glitch_means(),
-        parts.accumulator.observations(),
-    );
-    Estimate {
-        estimator: parts.name,
-        // As in the scalar sessions, the reported power is the sample
-        // mean; by Eq. (1) it equals the breakdown's capacitance-weighted
-        // activity total up to floating-point association.
-        mean_power_w: seqstats::descriptive::mean(&parts.sample),
-        relative_half_width: Some(parts.total_rhw),
-        sample_size: parts.sample.len(),
-        cycle_counts: parts.cycle_counts,
-        elapsed_seconds: parts.elapsed_seconds,
-        // Callers that own a sampler (or pooled shard summaries) attach the
-        // profiling counters after assembly.
-        sim_profile: None,
-        diagnostics: Diagnostics::NodeBreakdown(Box::new(dipe::NodeBreakdownDiagnostics {
-            selection: parts.selection,
-            criterion: parts.criterion,
             breakdown,
-            node_decision: parts.node_decision,
-            sample: parts.sample,
-        })),
-    }
-}
-
-impl EstimationSession for BreakdownSession<'_> {
-    fn estimator(&self) -> &str {
-        &self.name
+            node_decision: node.expect("the per-net fold always has a node verdict"),
+            sample,
+        }))
     }
 
-    fn cycles_done(&self) -> u64 {
-        self.sampler.cycle_counts().total()
+    fn snapshot(&self, pooled: &NodeActivityAccumulator) -> Option<MomentAccumulatorState> {
+        Some(pooled.snapshot())
     }
 
-    fn step(&mut self, budget: CycleBudget) -> Result<Progress, DipeError> {
-        match &self.state {
-            State::Done(estimate) => return Ok(Progress::Done(estimate.clone())),
-            State::Failed(error) => return Err(error.clone()),
-            _ => {}
-        }
-        let step_start = Instant::now();
-        let deadline = self.cycles_done().saturating_add(budget.get());
-
-        loop {
-            match &mut self.state {
-                State::Warmup { remaining } => {
-                    let allowed = deadline.saturating_sub(self.sampler.cycle_counts().total());
-                    let chunk = (*remaining).min(allowed.min(usize::MAX as u64) as usize);
-                    self.sampler.advance(chunk);
-                    *remaining -= chunk;
-                    if *remaining > 0 {
-                        break;
-                    }
-                    self.state = State::SelectInterval {
-                        selector: IntervalSelector::new(&self.config),
-                    };
-                }
-                State::SelectInterval { selector } => {
-                    match selector.advance(&mut self.sampler, deadline) {
-                        Ok(SelectorStep::OutOfBudget) => break,
-                        Ok(SelectorStep::Selected(selection)) => {
-                            self.state = State::Sampling {
-                                selection,
-                                sample: Vec::with_capacity(self.config.min_samples.max(256)),
-                                last_total_rhw: None,
-                                last_node: None,
-                            };
-                            // Warm checkpoint at sampling entry: the
-                            // accumulator is still empty, so this snapshot
-                            // predates every accuracy-dependent decision.
-                            if let State::Sampling { selection, .. } = &self.state {
-                                self.warm = Some(self.checkpoint_from(selection, &[], None));
-                            }
-                        }
-                        Err(error) => {
-                            self.state = State::Failed(error.clone());
-                            return Err(error);
-                        }
-                    }
-                }
-                State::Sampling { selection, .. } => {
-                    let interval = selection.interval;
-                    // Sample until a block boundary decides, or the deadline.
-                    let outcome = loop {
-                        if self.sampler.cycle_counts().total() >= deadline {
-                            break SamplingOutcome::OutOfBudget;
-                        }
-                        let accumulator = &mut self.accumulator;
-                        let power_w = self.sampler.sample_power_w_observing(interval, |activity| {
-                            accumulator.add_glitch_cycle(activity)
-                        });
-                        let State::Sampling {
-                            sample,
-                            last_total_rhw,
-                            ..
-                        } = &mut self.state
-                        else {
-                            unreachable!("sampling state is pinned for the loop");
-                        };
-                        sample.push(power_w);
-                        if !sample.len().is_multiple_of(self.config.block_size) {
-                            continue;
-                        }
-                        let total = self.criterion.evaluate(sample);
-                        *last_total_rhw = Some(total.relative_half_width);
-                        let samples = sample.len();
-                        let node = self.evaluate_node_policy();
-                        let State::Sampling { last_node, .. } = &mut self.state else {
-                            unreachable!("sampling state is pinned for the loop");
-                        };
-                        *last_node = Some(node.clone());
-                        let satisfied = match self.target {
-                            ConvergenceTarget::TotalPower => total.satisfied,
-                            ConvergenceTarget::NodeBreakdown => node.satisfied,
-                        };
-                        if satisfied {
-                            break SamplingOutcome::Satisfied {
-                                total_rhw: total.relative_half_width,
-                                node,
-                            };
-                        }
-                        if samples >= self.config.max_samples {
-                            break SamplingOutcome::Exhausted {
-                                samples,
-                                achieved: match self.target {
-                                    ConvergenceTarget::TotalPower => total.relative_half_width,
-                                    ConvergenceTarget::NodeBreakdown => {
-                                        node.worst_relative_half_width
-                                    }
-                                },
-                            };
-                        }
-                    };
-                    match outcome {
-                        SamplingOutcome::OutOfBudget => break,
-                        SamplingOutcome::Satisfied { total_rhw, node } => {
-                            let State::Sampling {
-                                selection, sample, ..
-                            } = &mut self.state
-                            else {
-                                unreachable!("sampling state is pinned for the loop");
-                            };
-                            let selection = selection.clone();
-                            let sample = std::mem::take(sample);
-                            let elapsed = self.elapsed_seconds + step_start.elapsed().as_secs_f64();
-                            let estimate = self.finish(selection, sample, total_rhw, node, elapsed);
-                            self.state = State::Done(estimate.clone());
-                            return Ok(Progress::Done(estimate));
-                        }
-                        SamplingOutcome::Exhausted { samples, achieved } => {
-                            let error = DipeError::SampleBudgetExhausted {
-                                samples,
-                                achieved_relative_half_width: achieved,
-                            };
-                            self.state = State::Failed(error.clone());
-                            return Err(error);
-                        }
-                    }
-                }
-                State::Done(_) | State::Failed(_) => unreachable!("handled at entry"),
-            }
-        }
-
-        self.elapsed_seconds += step_start.elapsed().as_secs_f64();
-        Ok(Progress::Running {
-            cycles_done: self.cycles_done(),
-            samples: self.samples_collected(),
-            current_rhw: self.current_rhw(),
-            phase: self.phase(),
-        })
+    fn restore(
+        &self,
+        state: Option<&MomentAccumulatorState>,
+    ) -> Result<NodeActivityAccumulator, String> {
+        let state = state.ok_or(
+            "checkpoint carries no per-net accumulator state; it was not taken from a \
+             breakdown session",
+        )?;
+        NodeActivityAccumulator::from_state(state, self.circuit.num_nets())
     }
-
-    fn checkpoint(&self) -> Option<SessionCheckpoint> {
-        match &self.state {
-            State::Sampling {
-                selection,
-                sample,
-                last_total_rhw,
-                ..
-            } => Some(self.checkpoint_from(selection, sample, *last_total_rhw)),
-            _ => None,
-        }
-    }
-
-    fn warm_checkpoint(&self) -> Option<SessionCheckpoint> {
-        self.warm.clone()
-    }
-}
-
-enum SamplingOutcome {
-    OutOfBudget,
-    Satisfied {
-        total_rhw: f64,
-        node: NodeStoppingDecision,
-    },
-    Exhausted {
-        samples: usize,
-        achieved: f64,
-    },
 }
 
 #[cfg(test)]
@@ -607,7 +260,7 @@ mod tests {
     use super::*;
     use dipe::estimate::run_to_completion;
     use dipe::input::InputModel;
-    use dipe::Progress;
+    use dipe::{CycleBudget, Estimate, Progress};
     use netlist::iscas89;
 
     fn relaxed_policy() -> NodeStoppingPolicy {

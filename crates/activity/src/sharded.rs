@@ -1,71 +1,42 @@
-//! Sharded node-resolved estimation: the breakdown session's sampling
-//! phase fanned out across worker shards via [`dipe::shards`].
+//! Sharded node-resolved estimation: the breakdown estimator's sampling
+//! phase fanned out across shard threads ([`dipe::shards::ShardThreads`]).
 //!
-//! Warm-up and interval selection run once on the primary shard, exactly
-//! like [`BreakdownSession`](crate::BreakdownSession); block sampling then
-//! runs on N concurrent chains. Each shard folds its measured cycles into
-//! its **own** per-block [`NodeActivityAccumulator`] delta, and the merger
-//! absorbs every round's deltas (deterministic shard order — and the
-//! accumulator's exact integer sums make the merge order-independent on
-//! top of that) into the pooled accumulator before evaluating the stopping
-//! rule: the scalar total-power criterion, the two-tier
-//! [`seqstats::NodeStoppingPolicy`], or both, depending on the
-//! [`ConvergenceTarget`]. The glitch decomposition rides along untouched —
-//! per-shard glitch sums merge exactly, so the `power ≡ functional +
-//! glitch` identity of the breakdown holds on the sharded path bit-for-bit
-//! as it does on the single-threaded one.
+//! Warm-up and interval selection run once on the primary shard; block
+//! sampling then runs on N concurrent chains. Each shard folds its measured
+//! cycles into its **own** per-block [`NodeActivityAccumulator`] delta, and
+//! the core's merger absorbs every round's deltas in deterministic shard
+//! order into the pooled accumulator before the stopping rule evaluates the
+//! scalar total-power criterion and the two-tier
+//! [`seqstats::NodeStoppingPolicy`]. The glitch decomposition rides along
+//! untouched — per-shard glitch sums merge exactly, so the `power ≡
+//! functional + glitch` identity of the breakdown holds on the sharded path
+//! bit-for-bit as it does on the inline one.
 //!
 //! With one shard the pooled sample, the accumulator, the stopping trace
-//! and the cycle accounting are identical to the single-threaded session
-//! for the same seed (asserted by the workspace determinism tests); with K
-//! shards the estimate is statistically equivalent and independent of
-//! thread scheduling.
+//! and the cycle accounting are identical to the inline session for the
+//! same seed (asserted by the workspace determinism tests); with K shards
+//! the estimate is statistically equivalent and independent of thread
+//! scheduling.
+//!
+//! [`NodeActivityAccumulator`]: crate::NodeActivityAccumulator
 
-use std::time::Instant;
-
-use dipe::estimate::{CycleBudget, Estimate, EstimationSession, Progress, SessionPhase};
-use dipe::independence::IndependenceSelection;
-use dipe::shards::{
-    pooled_cycle_counts, run_sharded_blocks, FrontStep, RoundVerdict, SerialFront, ShardFold,
-};
-use dipe::{DipeConfig, DipeError, PowerEstimator, PowerSampler};
-use logicsim::GlitchActivity;
+use dipe::estimate::EstimationSession;
+use dipe::session::{Session, Source};
+use dipe::shards::{SerialFront, ShardThreads};
+use dipe::{DipeError, PowerEstimator, PowerSampler};
 use netlist::Circuit;
-use seqstats::{NodeStoppingDecision, NodeStoppingPolicy, StoppingCriterion};
+use seqstats::NodeStoppingPolicy;
 
-use crate::accumulator::NodeActivityAccumulator;
-use crate::session::{
-    breakdown_estimate, evaluate_node_policy, node_criterion_label, BreakdownEstimateParts,
-};
-use crate::ConvergenceTarget;
-
-/// The per-shard fold of node-resolved estimation: every block carries an
-/// exact per-net activity delta for just that block's measured cycles.
-struct ActivityFold {
-    num_nets: usize,
-}
-
-impl ShardFold for ActivityFold {
-    type Block = NodeActivityAccumulator;
-
-    fn new_block(&self) -> NodeActivityAccumulator {
-        NodeActivityAccumulator::new(self.num_nets)
-    }
-
-    fn observe(&self, block: &mut NodeActivityAccumulator, activity: &GlitchActivity) {
-        block.add_glitch_cycle(activity);
-    }
-}
+use crate::{BreakdownEstimator, ConvergenceTarget};
 
 /// A [`PowerEstimator`] producing spatial power breakdowns with the
 /// sampling phase sharded across cores.
 ///
-/// The sharded counterpart of [`crate::BreakdownEstimator`]; construct one
-/// with [`sharded`](crate::BreakdownEstimator::sharded).
+/// The sharded counterpart of [`BreakdownEstimator`]; construct one with
+/// [`sharded`](BreakdownEstimator::sharded).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedBreakdownEstimator {
-    node_policy: NodeStoppingPolicy,
-    target: ConvergenceTarget,
+    base: BreakdownEstimator,
     shards: usize,
 }
 
@@ -79,8 +50,7 @@ impl ShardedBreakdownEstimator {
     pub fn new(node_policy: NodeStoppingPolicy, target: ConvergenceTarget, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard is required");
         ShardedBreakdownEstimator {
-            node_policy,
-            target,
+            base: BreakdownEstimator::new(node_policy, target),
             shards,
         }
     }
@@ -92,16 +62,16 @@ impl ShardedBreakdownEstimator {
 
     /// The per-node stopping policy.
     pub fn node_policy(&self) -> NodeStoppingPolicy {
-        self.node_policy
+        self.base.node_policy()
     }
 
     /// The convergence target.
     pub fn target(&self) -> ConvergenceTarget {
-        self.target
+        self.base.target()
     }
 }
 
-impl crate::BreakdownEstimator {
+impl BreakdownEstimator {
     /// The sharded counterpart of this estimator: same policy and target,
     /// with the sampling phase fanned out across `shards` workers.
     ///
@@ -115,237 +85,30 @@ impl crate::BreakdownEstimator {
 
 impl PowerEstimator for ShardedBreakdownEstimator {
     fn name(&self) -> String {
-        let base = match self.target {
-            ConvergenceTarget::TotalPower => "node breakdown (total-power stop".to_string(),
-            ConvergenceTarget::NodeBreakdown => format!(
-                "node breakdown (top-{} per-node stop",
-                self.node_policy.top_k()
-            ),
-        };
-        format!("{base}, {} shards)", self.shards)
+        format!(
+            "node breakdown ({}, {} shards)",
+            self.base.stop_label(),
+            self.shards
+        )
     }
 
     fn start<'c>(
         &self,
         circuit: &'c Circuit,
-        config: &DipeConfig,
+        config: &dipe::DipeConfig,
         input_model: &dipe::input::InputModel,
         seed_offset: u64,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError> {
         let sampler = PowerSampler::new(circuit, config, input_model, seed_offset)?;
-        Ok(Box::new(ShardedBreakdownSession {
-            name: self.name(),
-            circuit,
-            criterion: config.build_criterion(),
-            state: State::Front(SerialFront::new(sampler, config)),
-            config: config.clone(),
-            input_model: input_model.clone(),
-            base_seed_offset: seed_offset,
-            node_policy: self.node_policy,
-            target: self.target,
-            shards: self.shards,
-            elapsed_seconds: 0.0,
-            tracer: telemetry::Tracer::disabled(),
-        }))
-    }
-}
-
-enum State<'c> {
-    /// Warm-up + interval selection (the serial front shared with
-    /// [`dipe::shards::ShardedSession`]).
-    Front(SerialFront<'c>),
-    Done(Estimate),
-    Failed(DipeError),
-}
-
-/// The running session behind [`ShardedBreakdownEstimator`]. Warm-up and
-/// selection honour the [`CycleBudget`]; the sharded sampling phase runs
-/// to completion within the step that starts it, bounded by the pooled
-/// stopping rule.
-pub struct ShardedBreakdownSession<'c> {
-    name: String,
-    circuit: &'c Circuit,
-    config: DipeConfig,
-    input_model: dipe::input::InputModel,
-    criterion: Box<dyn StoppingCriterion>,
-    base_seed_offset: u64,
-    node_policy: NodeStoppingPolicy,
-    target: ConvergenceTarget,
-    shards: usize,
-    state: State<'c>,
-    elapsed_seconds: f64,
-    tracer: telemetry::Tracer,
-}
-
-impl<'c> ShardedBreakdownSession<'c> {
-    fn run_fanout(
-        &mut self,
-        sampler: PowerSampler<'c>,
-        selection: IndependenceSelection,
-        step_start: Instant,
-    ) -> Result<Estimate, DipeError> {
-        let counts_at_fanout = sampler.cycle_counts();
-        let technology = sampler.calculator().technology();
-        let capacitances_f: Vec<f64> = sampler.calculator().loads().as_slice().to_vec();
-        let fold = ActivityFold {
-            num_nets: self.circuit.num_nets(),
-        };
-        let mut accumulator = NodeActivityAccumulator::for_circuit(self.circuit);
-        let criterion = self.criterion.as_ref();
-        let node_policy = self.node_policy;
-        let target = self.target;
-        let max_samples = self.config.max_samples;
-        let tracer = &self.tracer;
-        let mut last_total: Option<seqstats::StoppingDecision> = None;
-        let mut last_node: Option<NodeStoppingDecision> = None;
-        let mut exhausted = false;
-        let pooled = run_sharded_blocks(
-            self.circuit,
-            &self.config,
-            &self.input_model,
-            self.base_seed_offset,
-            sampler,
-            selection.interval,
-            self.shards,
-            &fold,
-            |sample: &[f64], deltas: Vec<NodeActivityAccumulator>| {
-                for delta in &deltas {
-                    accumulator.merge(delta);
-                }
-                let total = criterion.evaluate(sample);
-                let node = evaluate_node_policy(&accumulator, &capacitances_f, node_policy);
-                tracer.emit("stopping_eval", |e| {
-                    e.field_u64("samples", total.sample_size as u64)
-                        .field_str("criterion", criterion.name())
-                        .field_f64_bits("estimate_w", total.estimate)
-                        .field_f64_bits("rhw", total.relative_half_width)
-                        .field_f64_bits("worst_node_rhw", node.worst_relative_half_width)
-                        .field_bool("satisfied", total.satisfied)
-                        .field_bool("node_satisfied", node.satisfied);
-                });
-                let satisfied = match target {
-                    ConvergenceTarget::TotalPower => total.satisfied,
-                    ConvergenceTarget::NodeBreakdown => node.satisfied,
-                };
-                last_total = Some(total);
-                last_node = Some(node);
-                if satisfied {
-                    RoundVerdict::Satisfied
-                } else if sample.len() >= max_samples {
-                    exhausted = true;
-                    RoundVerdict::Exhausted
-                } else {
-                    RoundVerdict::Continue
-                }
-            },
-            tracer,
-        )?;
-        let total = last_total.expect("at least one round was decided");
-        let node = last_node.expect("at least one round was decided");
-        if exhausted {
-            return Err(DipeError::SampleBudgetExhausted {
-                samples: pooled.sample.len(),
-                achieved_relative_half_width: match self.target {
-                    ConvergenceTarget::TotalPower => total.relative_half_width,
-                    ConvergenceTarget::NodeBreakdown => node.worst_relative_half_width,
-                },
-            });
-        }
-        let cycle_counts = pooled_cycle_counts(
-            counts_at_fanout,
-            &self.config,
-            self.shards,
-            selection.interval,
-            pooled.sample.len(),
-        );
-        let criterion_label = match self.target {
-            ConvergenceTarget::TotalPower => self.criterion.name().to_string(),
-            ConvergenceTarget::NodeBreakdown => node_criterion_label(self.node_policy),
-        };
-        // The loads were computed by the (now consumed) sampler's
-        // calculator; rebuild them the same way for the report.
-        let calculator =
-            power::PowerCalculator::new(self.circuit, technology, &self.config.capacitance);
-        let mut estimate = breakdown_estimate(BreakdownEstimateParts {
-            name: self.name.clone(),
-            circuit: self.circuit,
-            technology,
-            loads: calculator.loads(),
-            accumulator: &accumulator,
-            sample: pooled.sample,
-            total_rhw: total.relative_half_width,
-            node_decision: node,
-            selection,
-            criterion: criterion_label,
-            cycle_counts,
-            elapsed_seconds: self.elapsed_seconds + step_start.elapsed().as_secs_f64(),
-        });
-        estimate.sim_profile = Some(pooled.sim_profile);
-        Ok(estimate)
-    }
-}
-
-impl EstimationSession for ShardedBreakdownSession<'_> {
-    fn estimator(&self) -> &str {
-        &self.name
-    }
-
-    fn cycles_done(&self) -> u64 {
-        match &self.state {
-            State::Front(front) => front.cycles_done(),
-            State::Done(estimate) => estimate.cycle_counts.total(),
-            State::Failed(_) => 0,
-        }
-    }
-
-    fn step(&mut self, budget: CycleBudget) -> Result<Progress, DipeError> {
-        match &self.state {
-            State::Done(estimate) => return Ok(Progress::Done(estimate.clone())),
-            State::Failed(error) => return Err(error.clone()),
-            State::Front(_) => {}
-        }
-        let step_start = Instant::now();
-        let deadline = self.cycles_done().saturating_add(budget.get());
-
-        let front_step = match &mut self.state {
-            State::Front(front) => front.advance(&self.config, deadline, &self.tracer),
-            _ => unreachable!("handled at entry"),
-        };
-        match front_step {
-            Ok(FrontStep::OutOfBudget) => {}
-            Ok(FrontStep::Selected(sampler, selection)) => {
-                match self.run_fanout(*sampler, selection, step_start) {
-                    Ok(estimate) => {
-                        self.state = State::Done(estimate.clone());
-                        return Ok(Progress::Done(estimate));
-                    }
-                    Err(error) => {
-                        self.state = State::Failed(error.clone());
-                        return Err(error);
-                    }
-                }
-            }
-            Err(error) => {
-                self.state = State::Failed(error.clone());
-                return Err(error);
-            }
-        }
-
-        self.elapsed_seconds += step_start.elapsed().as_secs_f64();
-        let phase = match &self.state {
-            State::Front(front) => front.phase(),
-            _ => SessionPhase::Sampling,
-        };
-        Ok(Progress::Running {
-            cycles_done: self.cycles_done(),
-            samples: 0,
-            current_rhw: None,
-            phase,
-        })
-    }
-
-    fn set_tracer(&mut self, tracer: telemetry::Tracer) {
-        self.tracer = tracer;
+        let fold = self.base.fold(&sampler);
+        let threads = ShardThreads::new(self.shards, input_model.clone(), seed_offset);
+        Ok(Box::new(Session::start(
+            self.name(),
+            config,
+            SerialFront::new(sampler, config),
+            fold,
+            Source::Threads(threads),
+        )))
     }
 }
 
@@ -355,6 +118,7 @@ mod tests {
     use crate::BreakdownEstimator;
     use dipe::estimate::run_to_completion;
     use dipe::input::InputModel;
+    use dipe::{DipeConfig, Estimate};
     use netlist::iscas89;
 
     fn relaxed_policy() -> NodeStoppingPolicy {

@@ -19,16 +19,20 @@
 //! Both produce the unified [`Estimate`] record, so their results line up
 //! column-for-column against DIPE and the reference.
 
+use logicsim::GlitchActivity;
 use netlist::Circuit;
+use seqstats::{MomentAccumulatorState, NodeStoppingDecision};
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
 use crate::estimate::{
-    run_to_completion, DecoupledSession, Estimate, EstimationSession, FixedWarmupSession,
-    PowerEstimator,
+    run_to_completion, DecoupledSession, Diagnostics, Estimate, EstimationSession, PowerEstimator,
 };
+use crate::independence::IndependenceSelection;
 use crate::input::InputModel;
 use crate::sampler::PowerSampler;
+use crate::session::{NoFold, Session, ShardFold, Source};
+use crate::shards::SerialFront;
 
 /// The decoupled estimator: latch bits drawn independently from their
 /// stationary signal probabilities, ignoring correlations.
@@ -150,12 +154,53 @@ impl PowerEstimator for FixedWarmupEstimator {
             input_model,
             0xC0FFEE_u64.wrapping_add(seed_offset),
         )?;
-        Ok(Box::new(FixedWarmupSession::new(
+        // The DIPE flow with the a-priori warm-up in place of the runs-test
+        // interval: same stopping rule, no selection.
+        let front = SerialFront::with_fixed_interval(sampler, config, self.warmup_per_sample);
+        let fold = FixedWarmupFold {
+            warmup_per_sample: self.warmup_per_sample,
+        };
+        Ok(Box::new(Session::start(
             self.name(),
             config,
-            self.warmup_per_sample,
-            sampler,
+            front,
+            fold,
+            Source::Inline,
         )))
+    }
+}
+
+/// The fixed warm-up baseline's fold: no per-block payload, and diagnostics
+/// that report the per-sample warm-up instead of a selection.
+struct FixedWarmupFold {
+    warmup_per_sample: usize,
+}
+
+impl ShardFold for FixedWarmupFold {
+    type Block = ();
+
+    fn new_block(&self) {}
+
+    fn observe(&self, _block: &mut (), _activity: &GlitchActivity) {}
+
+    fn merge(&self, _pooled: &mut (), _block: &()) {}
+
+    fn diagnostics(
+        &self,
+        _pooled: &(),
+        _selection: IndependenceSelection,
+        criterion: String,
+        _sample: Vec<f64>,
+        _node: Option<NodeStoppingDecision>,
+    ) -> Diagnostics {
+        Diagnostics::FixedWarmup {
+            warmup_per_sample: self.warmup_per_sample,
+            criterion,
+        }
+    }
+
+    fn restore(&self, state: Option<&MomentAccumulatorState>) -> Result<(), String> {
+        NoFold.restore(state)
     }
 }
 

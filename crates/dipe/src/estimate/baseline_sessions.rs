@@ -1,6 +1,6 @@
-//! Re-entrant sessions behind the two baseline estimators the paper
-//! discusses: the decoupled-combinational approach and the fixed conservative
-//! warm-up Monte-Carlo estimator.
+//! The re-entrant session behind the decoupled-combinational baseline the
+//! paper discusses (the fixed conservative warm-up baseline runs on the
+//! estimation core, [`crate::session`]).
 
 use std::time::Instant;
 
@@ -9,7 +9,6 @@ use netlist::Circuit;
 use power::PowerCalculator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqstats::StoppingCriterion;
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
@@ -17,163 +16,7 @@ use crate::estimate::{
     CycleBudget, Diagnostics, Estimate, EstimationSession, Progress, SessionPhase,
 };
 use crate::input::InputStream;
-use crate::sampler::{CycleCounts, PowerSampler};
-
-// ---------------------------------------------------------------------------
-// Fixed conservative warm-up
-// ---------------------------------------------------------------------------
-
-// Terminal variants carry the full Estimate by value: sessions are few
-// and short-lived, so the variant-size skew costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum FixedWarmupState {
-    Warmup {
-        remaining: usize,
-    },
-    Sampling {
-        sample: Vec<f64>,
-        last_rhw: Option<f64>,
-    },
-    Done(Estimate),
-    Failed(DipeError),
-}
-
-/// Session for the Chou–Roy style estimator: same stopping criterion as
-/// DIPE, but a fixed a-priori warm-up before every sample instead of the
-/// runs-test interval.
-pub(crate) struct FixedWarmupSession<'c> {
-    name: String,
-    config: DipeConfig,
-    warmup_per_sample: usize,
-    sampler: PowerSampler<'c>,
-    criterion: Box<dyn StoppingCriterion>,
-    state: FixedWarmupState,
-    elapsed_seconds: f64,
-    tracer: telemetry::Tracer,
-}
-
-impl<'c> FixedWarmupSession<'c> {
-    pub(crate) fn new(
-        name: String,
-        config: &DipeConfig,
-        warmup_per_sample: usize,
-        sampler: PowerSampler<'c>,
-    ) -> FixedWarmupSession<'c> {
-        FixedWarmupSession {
-            name,
-            criterion: config.build_criterion(),
-            config: config.clone(),
-            warmup_per_sample,
-            sampler,
-            state: FixedWarmupState::Warmup {
-                remaining: config.warmup_cycles,
-            },
-            elapsed_seconds: 0.0,
-            tracer: telemetry::Tracer::disabled(),
-        }
-    }
-}
-
-impl EstimationSession for FixedWarmupSession<'_> {
-    fn estimator(&self) -> &str {
-        &self.name
-    }
-
-    fn cycles_done(&self) -> u64 {
-        self.sampler.cycle_counts().total()
-    }
-
-    fn step(&mut self, budget: CycleBudget) -> Result<Progress, DipeError> {
-        match &self.state {
-            FixedWarmupState::Done(estimate) => return Ok(Progress::Done(estimate.clone())),
-            FixedWarmupState::Failed(error) => return Err(error.clone()),
-            _ => {}
-        }
-        let step_start = Instant::now();
-        let deadline = self.cycles_done().saturating_add(budget.get());
-
-        loop {
-            match &mut self.state {
-                FixedWarmupState::Warmup { remaining } => {
-                    if !super::advance_warmup(&mut self.sampler, remaining, deadline) {
-                        break;
-                    }
-                    self.state = FixedWarmupState::Sampling {
-                        sample: Vec::new(),
-                        last_rhw: None,
-                    };
-                }
-                FixedWarmupState::Sampling { sample, last_rhw } => {
-                    match super::sample_in_blocks(
-                        &mut self.sampler,
-                        self.criterion.as_ref(),
-                        sample,
-                        last_rhw,
-                        self.warmup_per_sample,
-                        self.config.block_size,
-                        self.config.max_samples,
-                        deadline,
-                        &self.tracer,
-                    ) {
-                        super::BlockSampling::OutOfBudget => break,
-                        super::BlockSampling::Satisfied(decision) => {
-                            // As for DIPE, the reported average power is the
-                            // sample mean; the criterion's point estimate
-                            // (the median under the order-statistic rule)
-                            // only governs termination, so the unified
-                            // records compare the same statistic.
-                            let estimate = Estimate {
-                                estimator: self.name.clone(),
-                                mean_power_w: seqstats::descriptive::mean(sample),
-                                relative_half_width: Some(decision.relative_half_width),
-                                sample_size: sample.len(),
-                                cycle_counts: self.sampler.cycle_counts(),
-                                elapsed_seconds: self.elapsed_seconds
-                                    + step_start.elapsed().as_secs_f64(),
-                                sim_profile: Some(self.sampler.sim_profile()),
-                                diagnostics: Diagnostics::FixedWarmup {
-                                    warmup_per_sample: self.warmup_per_sample,
-                                    criterion: self.criterion.name().to_string(),
-                                },
-                            };
-                            self.state = FixedWarmupState::Done(estimate.clone());
-                            return Ok(Progress::Done(estimate));
-                        }
-                        super::BlockSampling::BudgetExhausted(decision) => {
-                            let error = DipeError::SampleBudgetExhausted {
-                                samples: sample.len(),
-                                achieved_relative_half_width: decision.relative_half_width,
-                            };
-                            self.state = FixedWarmupState::Failed(error.clone());
-                            return Err(error);
-                        }
-                    }
-                }
-                FixedWarmupState::Done(_) | FixedWarmupState::Failed(_) => {
-                    unreachable!("handled at entry")
-                }
-            }
-        }
-
-        self.elapsed_seconds += step_start.elapsed().as_secs_f64();
-        let (samples, current_rhw, phase) = match &self.state {
-            FixedWarmupState::Sampling { sample, last_rhw } => {
-                (sample.len(), *last_rhw, SessionPhase::Sampling)
-            }
-            _ => (0, None, SessionPhase::Warmup),
-        };
-        Ok(Progress::Running {
-            cycles_done: self.cycles_done(),
-            samples,
-            current_rhw,
-            phase,
-        })
-    }
-
-    fn set_tracer(&mut self, tracer: telemetry::Tracer) {
-        self.tracer = tracer;
-    }
-}
+use crate::sampler::CycleCounts;
 
 /// Maps a raw event-driven simulator's counters into a [`SimProfile`] for
 /// the sessions that drive [`EventDrivenSimulator`] directly instead of

@@ -52,11 +52,9 @@
 //! ```
 
 mod baseline_sessions;
-mod dipe_session;
 mod reference_session;
 
-pub(crate) use baseline_sessions::{DecoupledSession, FixedWarmupSession};
-pub(crate) use dipe_session::DipeSession;
+pub(crate) use baseline_sessions::DecoupledSession;
 pub(crate) use reference_session::ReferenceSession;
 
 use netlist::Circuit;
@@ -477,7 +475,7 @@ pub trait EstimationSession {
 }
 
 /// Advances a sampler-backed warm-up by as much of the remaining budget as
-/// possible (shared by the DIPE, fixed warm-up and reference sessions).
+/// possible (shared by the serial front and the reference session).
 /// Returns `true` once the warm-up has completed; `false` means the cycle
 /// budget ran out first and the session should report `Running`.
 pub(crate) fn advance_warmup(
@@ -492,70 +490,9 @@ pub(crate) fn advance_warmup(
     *remaining == 0
 }
 
-/// Outcome of feeding one power observation into the block-wise stopping
-/// policy ([`push_block_sample`]).
-pub(crate) enum SamplePush {
-    /// Keep sampling.
-    Continue,
-    /// The stopping criterion is satisfied.
-    Satisfied(seqstats::StoppingDecision),
-    /// `max_samples` was reached without satisfying the criterion.
-    Exhausted(seqstats::StoppingDecision),
-}
-
-/// The single block-wise stopping policy shared by the scalar sessions
-/// (through [`sample_in_blocks`]) and the lane-replicated runner
-/// ([`crate::lanes`]): append the observation, evaluate the criterion at
-/// block boundaries only, and fail once `max_samples` is reached. Keeping
-/// this in one place makes the lane/scalar bit-exactness contract
-/// structural rather than test-enforced.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_block_sample(
-    sample: &mut Vec<f64>,
-    power_w: f64,
-    criterion: &dyn seqstats::StoppingCriterion,
-    block_size: usize,
-    max_samples: usize,
-    last_rhw: &mut Option<f64>,
-    tracer: &telemetry::Tracer,
-) -> SamplePush {
-    sample.push(power_w);
-    if !sample.len().is_multiple_of(block_size) {
-        return SamplePush::Continue;
-    }
-    let decision = criterion.evaluate(sample);
-    *last_rhw = Some(decision.relative_half_width);
-    emit_stopping_eval(tracer, criterion, &decision);
-    if decision.satisfied {
-        SamplePush::Satisfied(decision)
-    } else if sample.len() >= max_samples {
-        SamplePush::Exhausted(decision)
-    } else {
-        SamplePush::Continue
-    }
-}
-
-/// Emits one `stopping_eval` trace event — every block-boundary evaluation
-/// of the stopping rule, scalar or pooled, goes through here so the rhw
-/// trajectory in a trace has one shape regardless of the execution path.
-pub(crate) fn emit_stopping_eval(
-    tracer: &telemetry::Tracer,
-    criterion: &dyn seqstats::StoppingCriterion,
-    decision: &seqstats::StoppingDecision,
-) {
-    tracer.emit("stopping_eval", |e| {
-        e.field_u64("samples", decision.sample_size as u64)
-            .field_str("criterion", criterion.name())
-            .field_f64_bits("estimate_w", decision.estimate)
-            .field_f64_bits("rhw", decision.relative_half_width)
-            .field_f64_bits("target", criterion.relative_error())
-            .field_bool("satisfied", decision.satisfied);
-    });
-}
-
-/// Emits the warm-up bracket events shared by the scalar DIPE session and
-/// the sharded serial front: `warmup_start` when the warm-up phase first
-/// runs and `warmup_end` with the sampler's cycle ledger once it completes.
+/// Emits the warm-up bracket events of the serial front: `warmup_start`
+/// when the warm-up phase first runs and `warmup_end` with the sampler's
+/// cycle ledger once it completes.
 pub(crate) fn emit_warmup_start(tracer: &telemetry::Tracer, cycles: usize) {
     tracer.emit("warmup_start", |e| {
         e.field_u64("cycles", cycles as u64);
@@ -605,84 +542,6 @@ pub(crate) fn emit_session_done(tracer: &telemetry::Tracer, estimate: &Estimate)
         e.field_u64("zero_delay_cycles", estimate.cycle_counts.zero_delay_cycles)
             .field_u64("measured_cycles", estimate.cycle_counts.measured_cycles);
     });
-}
-
-/// Builds the DIPE-shaped [`Estimate`] from a finished sample — shared by
-/// the scalar DIPE session and the lane-replicated runner so the reported
-/// record (sample mean as the point estimate, selection + raw sample as
-/// diagnostics) can never diverge between the two paths.
-pub(crate) fn dipe_estimate(
-    estimator: String,
-    sample: Vec<f64>,
-    relative_half_width: f64,
-    cycle_counts: CycleCounts,
-    elapsed_seconds: f64,
-    selection: IndependenceSelection,
-    criterion_name: String,
-) -> Estimate {
-    Estimate {
-        estimator,
-        // The reported average power is always the sample mean; the
-        // criterion's own point estimate only governs termination.
-        mean_power_w: seqstats::descriptive::mean(&sample),
-        relative_half_width: Some(relative_half_width),
-        sample_size: sample.len(),
-        cycle_counts,
-        elapsed_seconds,
-        sim_profile: None,
-        diagnostics: Diagnostics::Dipe {
-            selection,
-            criterion: criterion_name,
-            sample,
-        },
-    }
-}
-
-/// Outcome of one [`sample_in_blocks`] call.
-pub(crate) enum BlockSampling {
-    /// The cycle deadline was reached; call again to continue.
-    OutOfBudget,
-    /// The stopping criterion is satisfied.
-    Satisfied(seqstats::StoppingDecision),
-    /// `max_samples` was reached without satisfying the criterion.
-    BudgetExhausted(seqstats::StoppingDecision),
-}
-
-/// The shared sampling loop of the DIPE and fixed warm-up sessions: draw
-/// samples at `interval` decorrelation cycles each, apply the block-wise
-/// stopping policy, and honour the cycle deadline with per-sample
-/// granularity (the overshoot is at most one sample, never a block).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_in_blocks(
-    sampler: &mut crate::sampler::PowerSampler<'_>,
-    criterion: &dyn seqstats::StoppingCriterion,
-    sample: &mut Vec<f64>,
-    last_rhw: &mut Option<f64>,
-    interval: usize,
-    block_size: usize,
-    max_samples: usize,
-    deadline: u64,
-    tracer: &telemetry::Tracer,
-) -> BlockSampling {
-    loop {
-        if sampler.cycle_counts().total() >= deadline {
-            return BlockSampling::OutOfBudget;
-        }
-        let power_w = sampler.sample_power_w(interval);
-        match push_block_sample(
-            sample,
-            power_w,
-            criterion,
-            block_size,
-            max_samples,
-            last_rhw,
-            tracer,
-        ) {
-            SamplePush::Continue => {}
-            SamplePush::Satisfied(decision) => return BlockSampling::Satisfied(decision),
-            SamplePush::Exhausted(decision) => return BlockSampling::BudgetExhausted(decision),
-        }
-    }
 }
 
 /// Drives `session` to completion and returns its estimate — the bridge from

@@ -7,11 +7,13 @@ use netlist::Circuit;
 use crate::config::DipeConfig;
 use crate::error::DipeError;
 use crate::estimate::{
-    run_to_completion, Diagnostics, DipeSession, Estimate, EstimationSession, PowerEstimator,
+    run_to_completion, Diagnostics, Estimate, EstimationSession, PowerEstimator,
 };
 use crate::independence::IndependenceSelection;
 use crate::input::InputModel;
 use crate::sampler::{CycleCounts, PowerSampler};
+use crate::session::{NoFold, Session, Source};
+use crate::shards::SerialFront;
 
 /// The result of one DIPE estimation run — the DIPE-shaped view of an
 /// [`Estimate`], kept for callers that want the selection diagnostics and
@@ -226,7 +228,7 @@ impl DipeEstimator {
             program,
             delays,
         )?;
-        Ok(Box::new(DipeSession::new(self.name(), config, sampler)))
+        Ok(self.session(config, sampler))
     }
 
     /// [`resume`](Self::resume) with a precompiled program and delay
@@ -257,25 +259,27 @@ impl DipeEstimator {
 
     fn resume_with<'c>(
         &self,
-        mut sampler: PowerSampler<'c>,
+        sampler: PowerSampler<'c>,
         config: &DipeConfig,
         checkpoint: &crate::checkpoint::SessionCheckpoint,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError> {
-        checkpoint.validate_for(&self.name())?;
-        if checkpoint.accumulator.is_some() {
-            return Err(DipeError::InvalidCheckpoint {
-                message: "checkpoint carries per-net accumulator state; resume it with the \
-                          breakdown estimator"
-                    .to_string(),
-            });
-        }
-        sampler.restore(&checkpoint.sampler)?;
-        Ok(Box::new(DipeSession::resume(
+        let session = Session::resume(self.name(), config, sampler, NoFold, checkpoint)?;
+        Ok(Box::new(session))
+    }
+
+    fn session<'c>(
+        &self,
+        config: &DipeConfig,
+        sampler: PowerSampler<'c>,
+    ) -> Box<dyn EstimationSession + 'c> {
+        let front = SerialFront::new(sampler, config);
+        Box::new(Session::start(
             self.name(),
             config,
-            sampler,
-            checkpoint,
-        )))
+            front,
+            NoFold,
+            Source::Inline,
+        ))
     }
 }
 
@@ -297,7 +301,7 @@ impl PowerEstimator for DipeEstimator {
             input_model,
             self.seed_offset.wrapping_add(seed_offset),
         )?;
-        Ok(Box::new(DipeSession::new(self.name(), config, sampler)))
+        Ok(self.session(config, sampler))
     }
 }
 

@@ -38,14 +38,15 @@ use logicsim::{
 };
 use netlist::Circuit;
 use power::PowerCalculator;
-use seqstats::StoppingCriterion;
+use telemetry::Tracer;
 
 use crate::config::{DipeConfig, MeasureMode};
 use crate::error::DipeError;
-use crate::estimate::{push_block_sample, Estimate, PowerEstimator, SamplePush};
+use crate::estimate::{Estimate, PowerEstimator};
 use crate::independence::{IndependenceSelection, IntervalSelector};
 use crate::input::{InputModel, InputStream};
 use crate::sampler::CycleCounts;
+use crate::session::{assemble, FinishedRun, NoFold, RoundVerdict, StoppingRule};
 
 /// The per-lane DIPE flow position.
 enum LanePhase {
@@ -62,11 +63,11 @@ enum LanePhase {
     Finished(Result<Estimate, DipeError>),
 }
 
-/// One replication: its input stream, stopping criterion, cycle accounting
-/// and flow position.
+/// One replication: its input stream, stopping rule, cycle accounting and
+/// flow position.
 struct Lane {
     stream: InputStream,
-    criterion: Box<dyn StoppingCriterion>,
+    rule: StoppingRule,
     counts: CycleCounts,
     /// Zero-delay cycles still to simulate before this lane's next measured
     /// cycle (meaningless during warm-up).
@@ -243,7 +244,7 @@ fn run_group(
         .map(|&offset| {
             Ok(Lane {
                 stream: input_model.stream(circuit, config.seed.wrapping_add(offset))?,
-                criterion: config.build_criterion(),
+                rule: StoppingRule::new(config),
                 counts: CycleCounts::default(),
                 decorrelate: 0,
                 phase: LanePhase::Warmup {
@@ -390,42 +391,35 @@ fn record_measurement(
         },
         LanePhase::Sampling { selection, sample } => {
             lane.decorrelate = selection.interval;
-            let mut last_rhw = None;
-            match push_block_sample(
-                sample,
-                power_w,
-                lane.criterion.as_ref(),
-                config.block_size,
-                config.max_samples,
-                &mut last_rhw,
-                &telemetry::Tracer::disabled(),
-            ) {
-                SamplePush::Continue => {}
-                SamplePush::Satisfied(decision) => {
-                    let estimate = crate::estimate::dipe_estimate(
-                        estimator_name.to_string(),
-                        std::mem::take(sample),
-                        decision.relative_half_width,
-                        lane.counts,
-                        started.elapsed().as_secs_f64(),
-                        std::mem::replace(
+            sample.push(power_w);
+            if !lane.rule.at_boundary(sample.len()) {
+                return;
+            }
+            let decision = lane.rule.decide(sample, &NoFold, &(), &Tracer::disabled());
+            lane.phase = match decision.verdict {
+                RoundVerdict::Continue => return,
+                RoundVerdict::Exhausted => {
+                    LanePhase::Finished(Err(decision.exhausted(&Tracer::disabled())))
+                }
+                RoundVerdict::Satisfied => {
+                    let run = FinishedRun {
+                        estimator: estimator_name.to_string(),
+                        selection: std::mem::replace(
                             selection,
                             IndependenceSelection {
                                 interval: 0,
                                 trials: Vec::new(),
                             },
                         ),
-                        lane.criterion.name().to_string(),
-                    );
-                    lane.phase = LanePhase::Finished(Ok(estimate));
+                        sample: std::mem::take(sample),
+                        decision,
+                        cycle_counts: lane.counts,
+                        elapsed_seconds: started.elapsed().as_secs_f64(),
+                        sim_profile: None,
+                    };
+                    LanePhase::Finished(Ok(assemble(&NoFold, &(), run, &Tracer::disabled())))
                 }
-                SamplePush::Exhausted(decision) => {
-                    lane.phase = LanePhase::Finished(Err(DipeError::SampleBudgetExhausted {
-                        samples: sample.len(),
-                        achieved_relative_half_width: decision.relative_half_width,
-                    }));
-                }
-            }
+            };
         }
         LanePhase::Warmup { .. } | LanePhase::Finished(_) => {
             unreachable!("measurements only occur in the selecting/sampling phases")

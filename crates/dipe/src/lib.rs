@@ -84,6 +84,7 @@ pub mod reference;
 pub mod remote;
 pub mod report;
 pub mod sampler;
+pub mod session;
 pub mod shards;
 
 pub use baselines::{DecoupledCombinationalEstimator, FixedWarmupEstimator};
@@ -103,8 +104,8 @@ pub use lanes::{
 };
 pub use reference::{LongSimulationReference, ReferenceResult};
 pub use remote::{
-    assemble_remote_estimate, retry_backoff, Assignment, BlockOutcome, FaultPlan, PooledStop,
-    RemoteBlock, RemoteStats, StreamMerger, StreamWorker,
+    retry_backoff, Assignment, BlockOutcome, FaultPlan, RemoteBlock, RemoteStats, StreamMerger,
+    StreamWorker,
 };
 pub use sampler::PowerSampler;
-pub use shards::{ShardedDipeEstimator, ShardedSession};
+pub use shards::ShardedDipeEstimator;

@@ -1,7 +1,7 @@
 //! Fault-tolerant distributed sharding: seed-stream blocks, dedup/reassignment,
 //! and a deterministic fault-injection harness.
 //!
-//! The sharded runtime ([`crate::shards`]) is a pure fold over round-robin
+//! The estimation core ([`crate::session`]) is a pure fold over round-robin
 //! rounds of sample blocks, which makes it distributable with a strong
 //! contract: the estimate is a function of `(circuit, config, input model,
 //! seed, stream count)` and of *nothing else*. This module supplies the
@@ -18,10 +18,10 @@
 //!   reassignment handle), and an FNV-1a checksum over every
 //!   contract-relevant bit, so a corrupted payload is detected rather than
 //!   silently folded into the estimate;
-//! * the coordinator-side [`StreamMerger`] deduplicates blocks by
-//!   `(stream, block index)` — a resurrected straggler re-sending work it
-//!   already delivered is harmless — and consumes strict round-robin rounds
-//!   in stream order, byte-compatible with the local merger;
+//! * the [`StreamMerger`] — the one merger of every multi-stream run, local
+//!   shard threads included — deduplicates blocks by `(stream, block
+//!   index)` — a resurrected straggler re-sending work it already delivered
+//!   is harmless — and consumes strict round-robin rounds in stream order;
 //! * when a worker dies, [`StreamMerger::assignment`] hands out the exact
 //!   frontier of each orphaned stream: the next block index still needed and
 //!   the sampler state to restore before producing it. The replacement
@@ -49,13 +49,11 @@ use seqstats::{MomentAccumulatorState, PooledSampleState};
 use crate::checkpoint::SamplerState;
 use crate::config::DipeConfig;
 use crate::error::DipeError;
-use crate::estimate::Estimate;
-use crate::independence::IndependenceSelection;
 use crate::input::InputModel;
-use crate::sampler::{CycleCounts, PowerSampler};
-use crate::shards::{pooled_cycle_counts, shard_seed_offset, splitmix64, RoundVerdict};
+use crate::sampler::PowerSampler;
+use crate::shards::{shard_seed_offset, splitmix64};
 
-/// Default per-stream production lead, matching the local merger's
+/// Default per-stream production lead, matching the shard threads'
 /// [`MAX_LEAD_ROUNDS`](crate::shards::MAX_LEAD_ROUNDS): a worker may run a
 /// stream at most this many blocks past the last consumed round.
 pub const DEFAULT_LEAD_BLOCKS: u64 = crate::shards::MAX_LEAD_ROUNDS;
@@ -447,9 +445,17 @@ pub struct Assignment {
     pub state: Option<SamplerState>,
 }
 
-struct MergeStream {
+/// A delivered block as the merger buffers it.
+struct Delivered<P> {
+    powers: Vec<f64>,
+    payload: P,
+    /// Sampler state after the block (remote blocks only).
+    end_state: Option<SamplerState>,
+}
+
+struct MergeStream<P> {
     /// Delivered-but-not-consumed blocks, keyed by block index.
-    buffered: BTreeMap<u64, RemoteBlock>,
+    buffered: BTreeMap<u64, Delivered<P>>,
     /// Blocks consumed into the pooled sample so far.
     consumed: u64,
     /// End state of the last consumed block (or the initial state for
@@ -457,122 +463,52 @@ struct MergeStream {
     last_state: Option<SamplerState>,
 }
 
-/// The coordinator's deterministic fold: buffers per-stream blocks,
-/// deduplicates by `(stream, block index)`, and consumes strict round-robin
-/// rounds in stream order — the same merge order as the local sharded
-/// merger, so the pooled sample is bit-identical for the same seed streams.
-pub struct StreamMerger {
-    streams: Vec<MergeStream>,
+/// The deterministic fold of every multi-stream run: buffers per-stream
+/// blocks, deduplicates by `(stream, block index)`, and consumes strict
+/// round-robin rounds in stream order into the pooled sample.
+///
+/// One merger serves both transports. Remote blocks ([`RemoteBlock`],
+/// offered through [`offer`](Self::offer)) are checksum-verified and keep
+/// their end state so a lost stream can be reassigned from its exact
+/// frontier; in-process shard blocks ([`offer_local`](Self::offer_local))
+/// carry a fold payload of type `P` instead and are never serialized,
+/// checksummed or snapshotted. Either way the pooled sample of the same
+/// seed streams is bit-identical.
+pub struct StreamMerger<P = ()> {
+    streams: Vec<MergeStream<P>>,
     sample: Vec<f64>,
-    accumulator: Option<MomentAccumulatorState>,
     rounds: u64,
     stats: RemoteStats,
 }
 
 impl StreamMerger {
-    /// Creates the merger for `streams` seed streams. `stream0_state` is the
-    /// post-selection state of the session's own sampler — the state a
-    /// worker restores to continue stream 0 bit-for-bit.
+    /// Creates the merger of a remote run over `streams` seed streams.
+    /// `stream0_state` is the post-selection state of the session's own
+    /// sampler — the state a worker restores to continue stream 0
+    /// bit-for-bit.
     pub fn new(streams: usize, stream0_state: SamplerState) -> Self {
-        assert!(streams >= 1, "at least one stream is required");
-        let mut merge_streams = Vec::with_capacity(streams);
-        for stream in 0..streams {
-            merge_streams.push(MergeStream {
-                buffered: BTreeMap::new(),
-                consumed: 0,
-                last_state: (stream == 0).then(|| stream0_state.clone()),
-            });
-        }
-        StreamMerger {
-            streams: merge_streams,
-            sample: Vec::new(),
-            accumulator: None,
-            rounds: 0,
-            stats: RemoteStats::default(),
-        }
+        let mut merger = StreamMerger::local(streams);
+        merger.streams[0].last_state = Some(stream0_state);
+        merger
     }
 
-    /// The number of seed streams.
-    pub fn streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// The pooled sample consumed so far, in deterministic merge order.
-    pub fn sample(&self) -> &[f64] {
-        &self.sample
-    }
-
-    /// Per-net moment sums merged so far (breakdown runs only).
-    pub fn accumulator(&self) -> Option<&MomentAccumulatorState> {
-        self.accumulator.as_ref()
-    }
-
-    /// Complete rounds consumed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The robustness counters (shared with the transport layer, which
-    /// records its own connection-level events here).
-    pub fn stats(&self) -> &RemoteStats {
-        &self.stats
-    }
-
-    /// Mutable access for the transport layer's counters.
-    pub fn stats_mut(&mut self) -> &mut RemoteStats {
-        &mut self.stats
-    }
-
-    /// Offers a delivered block. Verifies the checksum, rejects duplicates
-    /// by `(stream, block index)`, buffers the rest.
+    /// Offers a delivered remote block. Verifies the checksum, rejects
+    /// duplicates by `(stream, block index)`, buffers the rest.
     pub fn offer(&mut self, block: RemoteBlock) -> BlockOutcome {
         if !block.verify() {
             self.stats.corrupt_blocks += 1;
             return BlockOutcome::Corrupt;
         }
-        let Some(stream) = self.streams.get_mut(block.stream as usize) else {
+        if block.stream as usize >= self.streams.len() {
             self.stats.corrupt_blocks += 1;
             return BlockOutcome::UnknownStream;
+        }
+        let delivered = Delivered {
+            powers: block.powers.to_values(),
+            payload: (),
+            end_state: Some(block.end_state),
         };
-        if block.block_index < stream.consumed || stream.buffered.contains_key(&block.block_index) {
-            self.stats.duplicate_blocks += 1;
-            return BlockOutcome::Duplicate;
-        }
-        stream.buffered.insert(block.block_index, block);
-        BlockOutcome::Accepted
-    }
-
-    /// Whether every stream has its next block buffered.
-    pub fn round_ready(&self) -> bool {
-        self.streams
-            .iter()
-            .all(|s| s.buffered.contains_key(&s.consumed))
-    }
-
-    /// Consumes one complete round (one block per stream, stream order) into
-    /// the pooled sample. Returns `false` if the round is not ready.
-    pub fn consume_round(&mut self) -> bool {
-        if !self.round_ready() {
-            return false;
-        }
-        for stream in self.streams.iter_mut() {
-            let block = stream
-                .buffered
-                .remove(&stream.consumed)
-                .expect("round_ready checked the block is buffered");
-            self.sample.extend(block.powers.to_values());
-            if let Some(delta) = block.accumulator {
-                match &mut self.accumulator {
-                    None => self.accumulator = Some(delta),
-                    Some(total) => merge_accumulator(total, &delta),
-                }
-            }
-            stream.last_state = Some(block.end_state);
-            stream.consumed += 1;
-            self.stats.blocks_consumed += 1;
-        }
-        self.rounds += 1;
-        true
+        self.accept(block.stream as usize, block.block_index, delivered)
     }
 
     /// The exact frontier a worker taking over `stream` must resume from:
@@ -591,79 +527,127 @@ impl StreamMerger {
         let state = if from_block == s.consumed {
             s.last_state.clone()
         } else {
-            Some(s.buffered[&(from_block - 1)].end_state.clone())
+            s.buffered[&(from_block - 1)].end_state.clone()
         };
         Assignment { from_block, state }
     }
 }
 
-fn merge_accumulator(total: &mut MomentAccumulatorState, delta: &MomentAccumulatorState) {
-    total.observations += delta.observations;
-    for (t, d) in total.totals.iter_mut().zip(&delta.totals) {
-        *t += d;
-    }
-    for (t, d) in total.totals_sq.iter_mut().zip(&delta.totals_sq) {
-        *t += d;
-    }
-    for (t, d) in total.glitch_totals.iter_mut().zip(&delta.glitch_totals) {
-        *t += d;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The pooled stopping rule
-// ---------------------------------------------------------------------------
-
-/// The pooled stopping rule as one reusable state machine, replicating the
-/// local sharded session's per-round decision exactly (criterion first, then
-/// the `max_samples` budget), so local and distributed runs stop on the same
-/// round for the same pooled sample.
-pub struct PooledStop {
-    criterion: Box<dyn seqstats::StoppingCriterion>,
-    max_samples: usize,
-    last: Option<seqstats::StoppingDecision>,
-    exhausted: bool,
-}
-
-impl PooledStop {
-    /// Builds the rule from the run configuration.
-    pub fn new(config: &DipeConfig) -> Self {
-        PooledStop {
-            criterion: config.build_criterion(),
-            max_samples: config.max_samples,
-            last: None,
-            exhausted: false,
+impl<P> StreamMerger<P> {
+    /// Creates the merger of an in-process run over `streams` seed streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams` is zero.
+    pub(crate) fn local(streams: usize) -> Self {
+        assert!(streams >= 1, "at least one stream is required");
+        StreamMerger {
+            streams: (0..streams)
+                .map(|_| MergeStream {
+                    buffered: BTreeMap::new(),
+                    consumed: 0,
+                    last_state: None,
+                })
+                .collect(),
+            sample: Vec::new(),
+            rounds: 0,
+            stats: RemoteStats::default(),
         }
     }
 
-    /// Evaluates the pooled sample after one merged round.
-    pub fn decide(&mut self, sample: &[f64]) -> RoundVerdict {
-        let decision = self.criterion.evaluate(sample);
-        let satisfied = decision.satisfied;
-        self.last = Some(decision);
-        if satisfied {
-            RoundVerdict::Satisfied
-        } else if sample.len() >= self.max_samples {
-            self.exhausted = true;
-            RoundVerdict::Exhausted
-        } else {
-            RoundVerdict::Continue
+    /// The number of seed streams.
+    pub fn streams(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// The pooled sample consumed so far, in deterministic merge order.
+    pub fn sample(&self) -> &[f64] {
+        &self.sample
+    }
+
+    /// Takes the pooled sample out of a finished merger.
+    pub fn into_sample(self) -> Vec<f64> {
+        self.sample
+    }
+
+    /// Complete rounds consumed so far.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    /// The robustness counters (shared with the transport layer, which
+    /// records its own connection-level events here).
+    pub fn stats(&self) -> &RemoteStats {
+        &self.stats
+    }
+
+    /// Mutable access for the transport layer's counters.
+    pub fn stats_mut(&mut self) -> &mut RemoteStats {
+        &mut self.stats
+    }
+
+    /// Offers an in-process block of `stream` with its fold payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is out of range.
+    pub(crate) fn offer_local(
+        &mut self,
+        stream: usize,
+        block_index: u64,
+        powers: Vec<f64>,
+        payload: P,
+    ) -> BlockOutcome {
+        let delivered = Delivered {
+            powers,
+            payload,
+            end_state: None,
+        };
+        self.accept(stream, block_index, delivered)
+    }
+
+    fn accept(&mut self, stream: usize, block_index: u64, block: Delivered<P>) -> BlockOutcome {
+        let stream = &mut self.streams[stream];
+        if block_index < stream.consumed || stream.buffered.contains_key(&block_index) {
+            self.stats.duplicate_blocks += 1;
+            return BlockOutcome::Duplicate;
         }
+        stream.buffered.insert(block_index, block);
+        BlockOutcome::Accepted
     }
 
-    /// The criterion's display name.
-    pub fn criterion_name(&self) -> &str {
-        self.criterion.name()
+    /// Whether every stream has its next block buffered.
+    pub fn round_ready(&self) -> bool {
+        self.streams
+            .iter()
+            .all(|s| s.buffered.contains_key(&s.consumed))
     }
 
-    /// The last evaluated decision.
-    pub fn last_decision(&self) -> Option<&seqstats::StoppingDecision> {
-        self.last.as_ref()
+    /// Consumes one complete round (one block per stream, stream order) into
+    /// the pooled sample. Returns `false` if the round is not ready.
+    pub fn consume_round(&mut self) -> bool {
+        self.consume_round_with(drop)
     }
 
-    /// Whether the sample budget ran out before the criterion fired.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
+    /// [`consume_round`](Self::consume_round), handing each block's payload
+    /// to `absorb` in stream order.
+    pub(crate) fn consume_round_with(&mut self, mut absorb: impl FnMut(P)) -> bool {
+        if !self.round_ready() {
+            return false;
+        }
+        for stream in self.streams.iter_mut() {
+            let block = stream
+                .buffered
+                .remove(&stream.consumed)
+                .expect("round_ready checked the block is buffered");
+            self.sample.extend_from_slice(&block.powers);
+            absorb(block.payload);
+            stream.last_state = block.end_state;
+            stream.consumed += 1;
+            self.stats.blocks_consumed += 1;
+        }
+        self.rounds += 1;
+        true
     }
 }
 
@@ -829,45 +813,13 @@ impl<'c> StreamWorker<'c> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Assembling the estimate
-// ---------------------------------------------------------------------------
-
-/// Builds the final [`Estimate`] of a distributed run from the consumed
-/// pooled sample — the same construction as the local sharded session, with
-/// the same estimator name, so a distributed run is bit-identical to
-/// `--shards N` everywhere except wall-clock diagnostics (and
-/// `sim_profile`, which stays `None`: the simulators ran on other machines).
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_remote_estimate(
-    shards: usize,
-    config: &DipeConfig,
-    counts_at_fanout: CycleCounts,
-    interval: usize,
-    selection: IndependenceSelection,
-    sample: Vec<f64>,
-    relative_half_width: f64,
-    criterion_name: String,
-    elapsed_seconds: f64,
-) -> Estimate {
-    let cycle_counts =
-        pooled_cycle_counts(counts_at_fanout, config, shards, interval, sample.len());
-    crate::estimate::dipe_estimate(
-        format!("DIPE (runs-test interval, {shards} shards)"),
-        sample,
-        relative_half_width,
-        cycle_counts,
-        elapsed_seconds,
-        selection,
-        criterion_name,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::{run_to_completion, PowerEstimator};
-    use crate::shards::{FrontStep, SerialFront, ShardedDipeEstimator};
+    use crate::estimate::{run_to_completion, Estimate, PowerEstimator};
+    use crate::independence::IndependenceSelection;
+    use crate::session::{assemble, FinishedRun, NoFold, RoundVerdict, StoppingRule};
+    use crate::shards::{pooled_cycle_counts, FrontStep, SerialFront, ShardedDipeEstimator};
     use netlist::iscas89;
 
     fn config() -> DipeConfig {
@@ -931,8 +883,9 @@ mod tests {
                 .unwrap();
         }
         workers.push(first);
-        let mut stop = PooledStop::new(&config());
-        loop {
+        let rule = StoppingRule::new(&config());
+        let tracer = telemetry::Tracer::disabled();
+        let decision = loop {
             before_round(merger.rounds(), &mut workers, &mut merger);
             while !merger.round_ready() {
                 let mut produced_any = false;
@@ -950,25 +903,30 @@ mod tests {
             for worker in workers.iter_mut() {
                 worker.set_consumed(rounds);
             }
-            match stop.decide(merger.sample()) {
+            let decision = rule.decide(merger.sample(), &NoFold, &(), &tracer);
+            match decision.verdict {
                 RoundVerdict::Continue => continue,
-                RoundVerdict::Satisfied => break,
+                RoundVerdict::Satisfied => break decision,
                 RoundVerdict::Exhausted => panic!("test circuits converge"),
             }
-        }
-        let decision = stop.last_decision().unwrap();
-        let estimate = assemble_remote_estimate(
-            shards,
-            &config(),
-            counts_at_fanout,
-            selection.interval,
+        };
+        let stats = *merger.stats();
+        let run = FinishedRun {
+            estimator: ShardedDipeEstimator::new(shards).name(),
+            cycle_counts: pooled_cycle_counts(
+                counts_at_fanout,
+                &config(),
+                shards,
+                selection.interval,
+                merger.sample().len(),
+            ),
             selection,
-            merger.sample().to_vec(),
-            decision.relative_half_width,
-            stop.criterion_name().to_string(),
-            0.0,
-        );
-        (estimate, *merger.stats())
+            sample: merger.into_sample(),
+            decision,
+            elapsed_seconds: 0.0,
+            sim_profile: None,
+        };
+        (assemble(&NoFold, &(), run, &tracer), stats)
     }
 
     fn assert_bit_identical(remote: &Estimate, local: &Estimate) {

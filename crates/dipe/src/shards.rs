@@ -6,52 +6,53 @@
 //! *independent sampling chains* with disjoint RNG streams can be merged
 //! without biasing the mean, the variance estimate, or the stopping rule.
 //! [`ShardedDipeEstimator`] exploits this: the warm-up and the sequential
-//! interval-selection procedure run once (they are cheap and inherently
-//! serial — each trial depends on the previous rejection), then the
-//! block-sampling phase fans out to N worker shards. Each shard owns its
-//! own simulators and input stream ([`PowerSampler`]), seeded
-//! deterministically from the run's seed and the shard index, warms its own
-//! FSM up, and then draws sample blocks at the shared interval, pushing
-//! them through a channel to a merger.
+//! interval-selection procedure run once ([`SerialFront`] — they are cheap
+//! and inherently serial, each trial depends on the previous rejection),
+//! then the block-sampling phase fans out to N worker shards
+//! ([`ShardThreads`]). Each shard owns its own simulators and input stream
+//! ([`PowerSampler`]), seeded deterministically from the run's seed and the
+//! shard index, warms its own FSM up, and then draws sample blocks at the
+//! shared interval, pushing them through a channel to the core's
+//! [`StreamMerger`].
 //!
 //! The merger assembles *rounds* — one block from every shard, in shard
-//! order — appends them to the pooled sample, runs the configured stopping
-//! rule on the pool, and broadcasts a stop flag once it fires. Blocks a
+//! order — appends them to the pooled sample, and the core's stopping rule
+//! decides on the pool; once it fires the shards are told to stop. Blocks a
 //! shard produced beyond the deciding round are discarded, and cycle
 //! accounting is derived from the *consumed* sample, so the result is a
 //! pure function of `(circuit, config, input model, seed, shard count)`:
 //! worker scheduling, thread interleaving and channel timing cannot change
 //! a single bit of it. With one shard the pooled sample, the stopping
-//! trace and the cycle counts are identical to the single-threaded
-//! [`DipeSession`](crate::estimator::DipeEstimator) for the same seed;
-//! with K shards the estimate differs statistically (different streams)
-//! but is drawn from the same sampling design, so it stays valid for any
-//! shard count.
+//! trace and the cycle counts are identical to the inline
+//! [`DipeEstimator`](crate::DipeEstimator) session for the same seed; with
+//! K shards the estimate differs statistically (different streams) but is
+//! drawn from the same sampling design, so it stays valid for any shard
+//! count.
 //!
-//! The fan-out machinery is generic over a per-shard [`ShardFold`], so
-//! node-resolved estimators (the `activity` crate) can ride the same
-//! runtime: each shard folds its measured cycles into its own per-block
-//! accumulator, and the merger hands every round's accumulators to the
-//! pooled decision in deterministic shard order (per-net integer sums make
-//! the merge itself order-independent).
+//! The shards fold their measured cycles through the session's
+//! [`ShardFold`], so node-resolved estimators (the `activity` crate) ride
+//! the same runtime: each shard folds into its own per-block payload, and
+//! the merger hands every round's payloads to the pooled fold in
+//! deterministic shard order (per-net integer sums make the merge itself
+//! order-independent).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use logicsim::GlitchActivity;
 use netlist::Circuit;
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
-use crate::estimate::{
-    CycleBudget, Estimate, EstimationSession, PowerEstimator, Progress, SessionPhase,
-};
+use crate::estimate::{EstimationSession, PowerEstimator, SessionPhase, SimProfile};
 use crate::independence::{IndependenceSelection, IntervalSelector, SelectorStep};
 use crate::input::InputModel;
+use crate::remote::StreamMerger;
 use crate::sampler::{CycleCounts, PowerSampler};
+use crate::session::{
+    consume_rounds, Decision, NoFold, Sampling, Session, ShardFold, Source, StoppingRule,
+};
 
 /// How many rounds a shard may run ahead of the merger before it parks.
 /// Bounds the channel backlog (and therefore memory) when shards progress
@@ -79,258 +80,205 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A per-shard fold over the measured cycles of one sample block.
-///
-/// The total-power estimator uses the trivial [`NoFold`]; node-resolved
-/// estimators supply a fold whose block is a per-net activity accumulator.
-/// The fold value itself is shared read-only across shards.
-pub trait ShardFold: Sync {
-    /// The per-block payload a shard builds while sampling.
-    type Block: Send;
-
-    /// Creates an empty payload for the next block.
-    fn new_block(&self) -> Self::Block;
-
-    /// Folds one measured cycle's glitch-decomposed transition record into
-    /// the block payload.
-    fn observe(&self, block: &mut Self::Block, activity: &GlitchActivity);
-}
-
-/// The fold of plain total-power estimation: blocks carry no payload.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFold;
-
-impl ShardFold for NoFold {
-    type Block = ();
-
-    fn new_block(&self) {}
-
-    fn observe(&self, _block: &mut (), _activity: &GlitchActivity) {}
-}
-
-/// The pooled decision after one merged round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundVerdict {
-    /// Keep sampling.
-    Continue,
-    /// The stopping rule fired; broadcast stop and finish.
-    Satisfied,
-    /// The sample budget is exhausted without satisfying the rule.
-    Exhausted,
-}
-
-/// The outcome of a completed fan-out: the pooled sample (in deterministic
-/// round-robin round order), the number of merged rounds, and the run's
-/// profiling ledger. The sample and round count are pure functions of the
-/// run inputs; the profiling fields are wall-clock facts (how far each
-/// shard speculated past the deciding round depends on scheduling) and must
-/// never feed back into the estimate.
-#[derive(Debug)]
-pub struct PooledSampling {
-    /// The pooled power sample in merge order.
-    pub sample: Vec<f64>,
-    /// Complete rounds merged (each contributes `shards × block_size`
-    /// samples).
-    pub rounds: u64,
-    /// Speculative blocks the shards produced beyond the deciding round and
-    /// the merger discarded (scheduling-dependent; bounded by
-    /// `shards × MAX_LEAD_ROUNDS`).
-    pub discarded_blocks: u64,
-    /// Simulator profiling counters summed over every shard's sampler,
-    /// including the primary shard's pre-fanout warm-up and selection work
-    /// (its simulators carry their counters into the fan-out).
-    pub sim_profile: crate::estimate::SimProfile,
-}
-
-/// Runs the sharded block-sampling phase to completion.
-///
-/// `shard0` is the session's own sampler, carrying the post-selection
-/// simulation state; shards `1..shards` get fresh samplers seeded via
-/// [`shard_seed_offset`] and warm up independently. Every shard draws
-/// blocks of `config.block_size` samples at `interval` decorrelation
-/// cycles, folding measured cycles through `fold`. After each merged round
-/// `decide` sees the pooled sample and the round's block payloads (shard
-/// order) and returns the verdict; `Satisfied`/`Exhausted` broadcast stop.
-///
-/// `tracer` receives one `round_merged` event per merged round (from the
-/// merger thread) and, once the fan-out has drained, a `shard_done` summary
-/// per shard plus a `speculative_discard` total. Tracing never runs on the
-/// worker threads' hot paths.
-///
-/// # Errors
-///
-/// Returns an error only if a shard sampler cannot be constructed (the
-/// configuration and input model were already validated by the session, so
-/// this is effectively unreachable).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_blocks<'c, F, D>(
-    circuit: &'c Circuit,
-    config: &DipeConfig,
-    input_model: &InputModel,
-    base_seed_offset: u64,
-    shard0: PowerSampler<'c>,
-    interval: usize,
+/// The shard-thread block source: `shards` scoped threads, one seed stream
+/// each. Stream 0 continues the session's own sampler; streams `1..shards`
+/// get fresh samplers seeded via [`shard_seed_offset`] that warm up on
+/// their own thread.
+#[derive(Debug, Clone)]
+pub struct ShardThreads {
     shards: usize,
-    fold: &F,
-    mut decide: D,
-    tracer: &telemetry::Tracer,
-) -> Result<PooledSampling, DipeError>
-where
-    F: ShardFold,
-    D: FnMut(&[f64], Vec<F::Block>) -> RoundVerdict,
-{
-    assert!(shards >= 1, "at least one shard is required");
-    let block_size = config.block_size;
-    let warmup_cycles = config.warmup_cycles;
+    input_model: InputModel,
+    base_seed_offset: u64,
+}
 
-    // Build every shard's sampler up front so construction errors surface
-    // before any thread is spawned.
-    let mut samplers = Vec::with_capacity(shards);
-    samplers.push(shard0);
-    for shard in 1..shards {
-        samplers.push(PowerSampler::new(
-            circuit,
-            config,
+impl ShardThreads {
+    /// A source of `shards` streams for a run started with `input_model` and
+    /// `base_seed_offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn new(shards: usize, input_model: InputModel, base_seed_offset: u64) -> Self {
+        assert!(shards >= 1, "at least one shard is required");
+        ShardThreads {
+            shards,
             input_model,
-            shard_seed_offset(base_seed_offset, shard),
-        )?);
+            base_seed_offset,
+        }
     }
 
-    let stop = AtomicBool::new(false);
-    let consumed = (Mutex::new(0u64), Condvar::new());
-    let (tx, rx) = mpsc::channel::<(usize, Vec<f64>, F::Block)>();
-    // Exit summaries (blocks produced, cycle ledger, simulator counters):
-    // one message per worker, collected after the scope joins them.
-    type ShardSummary = (usize, u64, CycleCounts, crate::estimate::SimProfile);
-    let (summary_tx, summary_rx) = mpsc::channel::<ShardSummary>();
+    /// The number of shard threads (seed streams).
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
 
-    let pooled = std::thread::scope(|scope| {
-        for (shard, mut sampler) in samplers.into_iter().enumerate() {
-            let tx = tx.clone();
-            let summary_tx = summary_tx.clone();
-            let stop = &stop;
-            let consumed = &consumed;
-            scope.spawn(move || {
-                if shard > 0 {
-                    // A fresh shard must forget its reset state before its
-                    // samples may join the stationary pool.
-                    sampler.advance(warmup_cycles);
-                }
-                let mut produced = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // Flow control: stay within MAX_LEAD_ROUNDS of the
-                    // merger so a fast shard cannot grow the backlog
-                    // unboundedly.
-                    {
-                        let (lock, condvar) = consumed;
-                        let mut done = lock.lock().expect("merger never panics");
-                        while produced >= *done + MAX_LEAD_ROUNDS && !stop.load(Ordering::Relaxed) {
-                            let (guard, _) = condvar
-                                .wait_timeout(done, Duration::from_millis(20))
-                                .expect("merger never panics");
-                            done = guard;
+    /// Runs the fan-out until the stopping rule decides: every shard draws
+    /// blocks of `config.block_size` samples at the accepted interval, the
+    /// merger consumes them in rounds, and the pooled sample lands in
+    /// `sampling`. Returns the deciding round's decision with the
+    /// consumed sample's cycle accounting and the shards' summed simulator
+    /// counters.
+    ///
+    /// `tracer` receives `round_merged` per merged round (from the merger
+    /// thread) and, once the fan-out has drained, a `shard_done` summary per
+    /// shard plus a `speculative_discard` total. Tracing never runs on the
+    /// shard threads' hot paths.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error only if a fresh shard sampler cannot be constructed
+    /// (the configuration and input model were already validated by the
+    /// session, so this is effectively unreachable).
+    pub(crate) fn run<F: ShardFold>(
+        &self,
+        sampling: &mut Sampling<'_, F>,
+        config: &DipeConfig,
+        fold: &F,
+        rule: &StoppingRule,
+        tracer: &telemetry::Tracer,
+    ) -> Result<(Decision, CycleCounts, SimProfile), DipeError> {
+        let Sampling {
+            sampler: stream0,
+            selection,
+            sample,
+            pooled,
+            ..
+        } = sampling;
+        let interval = selection.interval;
+        let counts_at_fanout = stream0.cycle_counts();
+        let circuit = stream0.circuit();
+        // Build every fresh sampler up front so construction errors surface
+        // before any thread is spawned.
+        let mut fresh = (1..self.shards)
+            .map(|shard| {
+                PowerSampler::new(
+                    circuit,
+                    config,
+                    &self.input_model,
+                    shard_seed_offset(self.base_seed_offset, shard),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let stop = AtomicBool::new(false);
+        let consumed = (Mutex::new(0u64), Condvar::new());
+        // Produced blocks: stream, block index, powers and fold payload.
+        let (tx, rx) = mpsc::channel::<(usize, u64, Vec<f64>, F::Block)>();
+        let mut merger = StreamMerger::local(self.shards);
+        let (decision, produced) = std::thread::scope(|scope| {
+            let workers: Vec<_> = std::iter::once(&mut **stream0)
+                .chain(fresh.iter_mut())
+                .enumerate()
+                .map(|(shard, sampler)| {
+                    let tx = tx.clone();
+                    let (stop, consumed) = (&stop, &consumed);
+                    scope.spawn(move || {
+                        if shard > 0 {
+                            // A fresh shard must forget its reset state
+                            // before its samples may join the stationary
+                            // pool.
+                            sampler.advance(config.warmup_cycles);
                         }
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let mut powers = Vec::with_capacity(block_size);
-                    let mut payload = fold.new_block();
-                    for _ in 0..block_size {
-                        let power_w = sampler.sample_power_w_observing(interval, |activity| {
-                            fold.observe(&mut payload, activity)
-                        });
-                        powers.push(power_w);
-                    }
-                    produced += 1;
-                    if tx.send((shard, powers, payload)).is_err() {
-                        break; // the merger is gone; nothing left to do
-                    }
-                }
-                let _ = summary_tx.send((
-                    shard,
-                    produced,
-                    sampler.cycle_counts(),
-                    sampler.sim_profile(),
-                ));
-            });
-        }
-        drop(tx);
-        drop(summary_tx);
+                        let mut produced = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            // Flow control: stay within MAX_LEAD_ROUNDS of
+                            // the merger so a fast shard cannot grow the
+                            // backlog unboundedly.
+                            {
+                                let (lock, condvar) = consumed;
+                                let mut done = lock.lock().expect("merger never panics");
+                                while produced >= *done + MAX_LEAD_ROUNDS
+                                    && !stop.load(Ordering::Relaxed)
+                                {
+                                    let (guard, _) = condvar
+                                        .wait_timeout(done, Duration::from_millis(20))
+                                        .expect("merger never panics");
+                                    done = guard;
+                                }
+                            }
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let mut powers = Vec::with_capacity(config.block_size);
+                            let mut payload = fold.new_block();
+                            for _ in 0..config.block_size {
+                                powers.push(
+                                    sampler.sample_power_w_observing(interval, |activity| {
+                                        fold.observe(&mut payload, activity)
+                                    }),
+                                );
+                            }
+                            produced += 1;
+                            if tx.send((shard, produced - 1, powers, payload)).is_err() {
+                                break; // the merger is gone; nothing left to do
+                            }
+                        }
+                        produced
+                    })
+                })
+                .collect();
+            drop(tx);
 
-        // The merger: assemble rounds in shard order, decide on the pool.
-        let mut queues: Vec<VecDeque<(Vec<f64>, F::Block)>> =
-            (0..shards).map(|_| VecDeque::new()).collect();
-        let mut sample = Vec::new();
-        let mut rounds = 0u64;
-        loop {
-            if queues.iter().all(|queue| !queue.is_empty()) {
-                let mut payloads = Vec::with_capacity(shards);
-                for queue in queues.iter_mut() {
-                    let (powers, payload) = queue.pop_front().expect("checked non-empty");
-                    sample.extend_from_slice(&powers);
-                    payloads.push(payload);
-                }
-                rounds += 1;
-                {
+            let decision = loop {
+                let stopped = consume_rounds(&mut merger, fold, pooled, rule, tracer, |rounds| {
                     let (lock, condvar) = &consumed;
                     *lock.lock().expect("workers never panic") = rounds;
                     condvar.notify_all();
-                }
-                tracer.emit("round_merged", |e| {
-                    e.field_u64("round", rounds)
-                        .field_u64("pooled_samples", sample.len() as u64)
-                        .field_u64("shards", shards as u64);
                 });
-                match decide(&sample, payloads) {
-                    RoundVerdict::Continue => continue,
-                    RoundVerdict::Satisfied | RoundVerdict::Exhausted => break,
+                if let Some(decision) = stopped {
+                    break decision;
                 }
-            }
-            let (shard, powers, payload) = rx
-                .recv()
-                .expect("workers only exit after the stop broadcast");
-            queues[shard].push_back((powers, payload));
-        }
-        stop.store(true, Ordering::Relaxed);
-        let (_, condvar) = &consumed;
-        condvar.notify_all();
-        // Drain without blocking so worker sends never back up while the
-        // scope joins (the channel is unbounded, but be tidy).
-        while rx.try_recv().is_ok() {}
-        PooledSampling {
-            sample,
-            rounds,
-            discarded_blocks: 0,
-            sim_profile: crate::estimate::SimProfile::default(),
-        }
-    });
-
-    // Fold the per-worker exit summaries (available once the scope has
-    // joined every worker) into the profiling ledger, in shard order so the
-    // trace is stable to read even though the counts themselves are
-    // scheduling-dependent.
-    let mut summaries: Vec<ShardSummary> = summary_rx.iter().collect();
-    summaries.sort_by_key(|&(shard, ..)| shard);
-    let mut pooled = pooled;
-    let mut produced_total = 0u64;
-    for (shard, produced, counts, profile) in &summaries {
-        produced_total += produced;
-        pooled.sim_profile.merge(profile);
-        tracer.emit("shard_done", |e| {
-            e.field_u64("shard", *shard as u64)
-                .field_u64("blocks_produced", *produced)
-                .field_u64("zero_delay_cycles", counts.zero_delay_cycles)
-                .field_u64("measured_cycles", counts.measured_cycles);
+                let (shard, index, powers, payload) = rx
+                    .recv()
+                    .expect("workers only exit after the stop broadcast");
+                merger.offer_local(shard, index, powers, payload);
+            };
+            stop.store(true, Ordering::Relaxed);
+            consumed.1.notify_all();
+            let produced: Vec<u64> = workers
+                .into_iter()
+                .map(|worker| worker.join().expect("shard workers never panic"))
+                .collect();
+            (decision, produced)
         });
-    }
-    pooled.discarded_blocks = produced_total.saturating_sub(pooled.rounds * shards as u64);
-    tracer.emit("speculative_discard", |e| {
-        e.field_u64("blocks", pooled.discarded_blocks)
-            .field_u64("rounds_consumed", pooled.rounds);
-    });
 
-    Ok(pooled)
+        // The profiling ledger, in shard order so the trace is stable to
+        // read even though the counts themselves are scheduling-dependent:
+        // how far each shard speculated past the deciding round depends on
+        // timing, so none of it may feed back into the estimate.
+        let mut sim_profile = SimProfile::default();
+        for (shard, (sampler, produced)) in std::iter::once(&**stream0)
+            .chain(&fresh)
+            .zip(&produced)
+            .enumerate()
+        {
+            sim_profile.merge(&sampler.sim_profile());
+            let counts = sampler.cycle_counts();
+            tracer.emit("shard_done", |e| {
+                e.field_u64("shard", shard as u64)
+                    .field_u64("blocks_produced", *produced)
+                    .field_u64("zero_delay_cycles", counts.zero_delay_cycles)
+                    .field_u64("measured_cycles", counts.measured_cycles);
+            });
+        }
+        let discarded = produced
+            .iter()
+            .sum::<u64>()
+            .saturating_sub(merger.rounds() * self.shards as u64);
+        tracer.emit("speculative_discard", |e| {
+            e.field_u64("blocks", discarded)
+                .field_u64("rounds_consumed", merger.rounds());
+        });
+        *sample = merger.into_sample();
+        let cycle_counts = pooled_cycle_counts(
+            counts_at_fanout,
+            config,
+            self.shards,
+            interval,
+            sample.len(),
+        );
+        Ok((decision, cycle_counts, sim_profile))
+    }
 }
 
 /// Deterministic cycle accounting of a finished sharded run: the warm-up
@@ -354,14 +302,16 @@ pub fn pooled_cycle_counts(
     }
 }
 
-/// The serial front of every sharded session: warm-up plus runs-test
-/// interval selection on the primary shard's sampler, honouring cycle
-/// budgets exactly like the single-threaded sessions. Both the total-power
-/// [`ShardedSession`] and the `activity` crate's sharded breakdown session
-/// drive their pre-fanout phases through this one state machine, so budget
-/// handling and progress reporting cannot diverge between them.
+/// The front of every DIPE-flow run: warm-up plus runs-test interval
+/// selection on stream 0's sampler, honouring cycle budgets. Every
+/// [`Session`] and the remote coordinator drive
+/// their pre-sampling phases through this one state machine, so budget
+/// handling, progress reporting and the front's trace cannot diverge
+/// between them.
 pub struct SerialFront<'c> {
     state: FrontState<'c>,
+    /// An a-priori interval that replaces runs-test selection.
+    fixed_interval: Option<usize>,
 }
 
 enum FrontState<'c> {
@@ -373,9 +323,8 @@ enum FrontState<'c> {
         sampler: Box<PowerSampler<'c>>,
         selector: IntervalSelector,
     },
-    /// Terminal marker once the sampler has moved to the fan-out (or the
-    /// selection failed); the owning session is in its own terminal state
-    /// by then and never advances the front again.
+    /// Terminal marker once the sampler has moved on to sampling (or the
+    /// selection failed); the owner never advances the front again.
     Consumed,
 }
 
@@ -383,9 +332,9 @@ enum FrontState<'c> {
 pub enum FrontStep<'c> {
     /// The cycle deadline was reached; call again with more budget.
     OutOfBudget,
-    /// Selection finished: the primary sampler (carrying the post-selection
+    /// Selection finished: stream 0's sampler (carrying the post-selection
     /// simulation state, boxed — it is ~KBs of simulator scratch) and the
-    /// accepted interval, ready for the fan-out.
+    /// accepted interval, ready for sampling.
     Selected(Box<PowerSampler<'c>>, IndependenceSelection),
 }
 
@@ -397,6 +346,20 @@ impl<'c> SerialFront<'c> {
                 sampler: Box::new(sampler),
                 remaining: config.warmup_cycles,
             },
+            fixed_interval: None,
+        }
+    }
+
+    /// A front without interval selection: after warm-up it hands over at
+    /// the a-priori `interval` (the fixed warm-up baseline's flow).
+    pub(crate) fn with_fixed_interval(
+        sampler: PowerSampler<'c>,
+        config: &DipeConfig,
+        interval: usize,
+    ) -> Self {
+        SerialFront {
+            fixed_interval: Some(interval),
+            ..SerialFront::new(sampler, config)
         }
     }
 
@@ -410,7 +373,7 @@ impl<'c> SerialFront<'c> {
         }
     }
 
-    /// The phase to report in [`Progress::Running`].
+    /// The phase to report in [`Progress::Running`](crate::Progress::Running).
     pub fn phase(&self) -> SessionPhase {
         match &self.state {
             FrontState::Warmup { .. } => SessionPhase::Warmup,
@@ -420,8 +383,7 @@ impl<'c> SerialFront<'c> {
 
     /// Advances warm-up and interval selection until the cycle deadline is
     /// reached or an interval is accepted. `tracer` receives the warm-up
-    /// bracket and the per-trial runs-test events (identical to the scalar
-    /// session's).
+    /// bracket and the per-trial runs-test events.
     ///
     /// # Errors
     ///
@@ -447,6 +409,13 @@ impl<'c> SerialFront<'c> {
                         return Ok(FrontStep::OutOfBudget);
                     }
                     crate::estimate::emit_warmup_end(tracer, sampler.cycle_counts());
+                    if let Some(interval) = self.fixed_interval {
+                        let selection = IndependenceSelection {
+                            interval,
+                            trials: Vec::new(),
+                        };
+                        return Ok(FrontStep::Selected(sampler, selection));
+                    }
                     self.state = FrontState::SelectInterval {
                         selector: IntervalSelector::new(config),
                         sampler,
@@ -477,11 +446,10 @@ impl<'c> SerialFront<'c> {
 /// The paper's DIPE estimator with the block-sampling phase fanned out
 /// across worker shards.
 ///
-/// Warm-up and interval selection are shared (they run on shard 0's
-/// sampler exactly like the single-threaded session); sampling then runs
-/// on `shards` concurrent chains whose pooled sample feeds the configured
-/// stopping criterion. See the [module docs](self) for the determinism
-/// contract.
+/// Warm-up and interval selection run once, on shard 0's sampler; sampling
+/// then runs on `shards` concurrent chains whose pooled sample feeds the
+/// configured stopping criterion. See the [module docs](self) for the
+/// determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedDipeEstimator {
     shards: usize,
@@ -522,197 +490,21 @@ impl PowerEstimator for ShardedDipeEstimator {
         seed_offset: u64,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError> {
         let sampler = PowerSampler::new(circuit, config, input_model, seed_offset)?;
-        Ok(Box::new(ShardedSession {
-            name: self.name(),
-            circuit,
-            criterion: config.build_criterion(),
-            state: State::Front(SerialFront::new(sampler, config)),
-            config: config.clone(),
-            input_model: input_model.clone(),
-            base_seed_offset: seed_offset,
-            shards: self.shards,
-            elapsed_seconds: 0.0,
-            tracer: telemetry::Tracer::disabled(),
-        }))
-    }
-}
-
-enum State<'c> {
-    /// Warm-up + interval selection (the shared serial front).
-    Front(SerialFront<'c>),
-    Done(Estimate),
-    Failed(DipeError),
-}
-
-/// The running session behind [`ShardedDipeEstimator`].
-///
-/// Warm-up and interval selection honour the [`CycleBudget`] exactly like
-/// the single-threaded session. Once sampling starts the fan-out runs to
-/// completion within that `step` call — the parallel phase owns its worker
-/// threads for the duration, and its stopping point is governed by the
-/// pooled stopping rule, not the budget.
-pub struct ShardedSession<'c> {
-    name: String,
-    circuit: &'c Circuit,
-    config: DipeConfig,
-    input_model: InputModel,
-    criterion: Box<dyn seqstats::StoppingCriterion>,
-    base_seed_offset: u64,
-    shards: usize,
-    state: State<'c>,
-    elapsed_seconds: f64,
-    tracer: telemetry::Tracer,
-}
-
-impl<'c> ShardedSession<'c> {
-    fn run_fanout(
-        &mut self,
-        sampler: PowerSampler<'c>,
-        selection: IndependenceSelection,
-        step_start: Instant,
-    ) -> Result<Estimate, DipeError> {
-        let counts_at_fanout = sampler.cycle_counts();
-        let criterion = self.criterion.as_ref();
-        let config = &self.config;
-        let tracer = &self.tracer;
-        tracer.emit("sampling_start", |e| {
-            e.field_u64("interval", selection.interval as u64)
-                .field_u64("block_size", config.block_size as u64)
-                .field_u64("max_samples", config.max_samples as u64)
-                .field_u64("shards", self.shards as u64)
-                .field_f64_bits("target", config.relative_error)
-                .field_str("criterion", criterion.name());
-        });
-        let mut last_decision: Option<seqstats::StoppingDecision> = None;
-        let mut exhausted = false;
-        let pooled = run_sharded_blocks(
-            self.circuit,
+        let threads = ShardThreads::new(self.shards, input_model.clone(), seed_offset);
+        Ok(Box::new(Session::start(
+            self.name(),
             config,
-            &self.input_model,
-            self.base_seed_offset,
-            sampler,
-            selection.interval,
-            self.shards,
-            &NoFold,
-            |sample: &[f64], _payloads: Vec<()>| {
-                let decision = criterion.evaluate(sample);
-                crate::estimate::emit_stopping_eval(tracer, criterion, &decision);
-                let satisfied = decision.satisfied;
-                last_decision = Some(decision);
-                if satisfied {
-                    RoundVerdict::Satisfied
-                } else if sample.len() >= config.max_samples {
-                    exhausted = true;
-                    RoundVerdict::Exhausted
-                } else {
-                    RoundVerdict::Continue
-                }
-            },
-            tracer,
-        )?;
-        let decision = last_decision.expect("at least one round was decided");
-        if exhausted {
-            self.tracer.emit("sample_budget_exhausted", |e| {
-                e.field_u64("samples", pooled.sample.len() as u64)
-                    .field_f64_bits("rhw", decision.relative_half_width);
-            });
-            return Err(DipeError::SampleBudgetExhausted {
-                samples: pooled.sample.len(),
-                achieved_relative_half_width: decision.relative_half_width,
-            });
-        }
-        let cycle_counts = pooled_cycle_counts(
-            counts_at_fanout,
-            &self.config,
-            self.shards,
-            selection.interval,
-            pooled.sample.len(),
-        );
-        let mut estimate = crate::estimate::dipe_estimate(
-            self.name.clone(),
-            pooled.sample,
-            decision.relative_half_width,
-            cycle_counts,
-            self.elapsed_seconds + step_start.elapsed().as_secs_f64(),
-            selection,
-            self.criterion.name().to_string(),
-        );
-        estimate.sim_profile = Some(pooled.sim_profile);
-        crate::estimate::emit_session_done(&self.tracer, &estimate);
-        Ok(estimate)
-    }
-}
-
-impl EstimationSession for ShardedSession<'_> {
-    fn estimator(&self) -> &str {
-        &self.name
-    }
-
-    fn cycles_done(&self) -> u64 {
-        match &self.state {
-            State::Front(front) => front.cycles_done(),
-            State::Done(estimate) => estimate.cycle_counts.total(),
-            State::Failed(_) => 0,
-        }
-    }
-
-    fn step(&mut self, budget: CycleBudget) -> Result<Progress, DipeError> {
-        match &self.state {
-            State::Done(estimate) => return Ok(Progress::Done(estimate.clone())),
-            State::Failed(error) => return Err(error.clone()),
-            State::Front(_) => {}
-        }
-        let step_start = Instant::now();
-        let deadline = self.cycles_done().saturating_add(budget.get());
-
-        let front_step = match &mut self.state {
-            State::Front(front) => front.advance(&self.config, deadline, &self.tracer),
-            _ => unreachable!("handled at entry"),
-        };
-        match front_step {
-            Ok(FrontStep::OutOfBudget) => {}
-            Ok(FrontStep::Selected(sampler, selection)) => {
-                // The parallel phase runs to completion in this step; the
-                // pooled stopping rule bounds it.
-                match self.run_fanout(*sampler, selection, step_start) {
-                    Ok(estimate) => {
-                        self.state = State::Done(estimate.clone());
-                        return Ok(Progress::Done(estimate));
-                    }
-                    Err(error) => {
-                        self.state = State::Failed(error.clone());
-                        return Err(error);
-                    }
-                }
-            }
-            Err(error) => {
-                self.state = State::Failed(error.clone());
-                return Err(error);
-            }
-        }
-
-        self.elapsed_seconds += step_start.elapsed().as_secs_f64();
-        let phase = match &self.state {
-            State::Front(front) => front.phase(),
-            _ => SessionPhase::Sampling,
-        };
-        Ok(Progress::Running {
-            cycles_done: self.cycles_done(),
-            samples: 0,
-            current_rhw: None,
-            phase,
-        })
-    }
-
-    fn set_tracer(&mut self, tracer: telemetry::Tracer) {
-        self.tracer = tracer;
+            SerialFront::new(sampler, config),
+            NoFold,
+            Source::Threads(threads),
+        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::run_to_completion;
+    use crate::estimate::{run_to_completion, CycleBudget, Estimate, Progress};
     use crate::DipeEstimator;
     use netlist::iscas89;
 

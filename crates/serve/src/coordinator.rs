@@ -1,13 +1,13 @@
 //! The coordinator of a distributed estimation run.
 //!
-//! The coordinator owns every decision that shapes the estimate: it runs
-//! warm-up and runs-test interval selection locally (they are serial and
-//! cheap), then fans block sampling out to remote workers over the NDJSON
-//! protocol, merging returned blocks through [`dipe::remote::StreamMerger`]
-//! and applying the pooled stopping rule after every consumed round —
-//! byte-for-byte the same fold as the local `--shards` runtime, so the
-//! resulting [`Estimate`] is bit-identical to a local
-//! sharded run of the same `(seed, stream count)`.
+//! The coordinator is the TCP block source of the estimation core
+//! ([`dipe::session`]) and owns every decision that shapes the estimate: it
+//! runs warm-up and runs-test interval selection locally (they are serial
+//! and cheap), then fans block sampling out to remote workers over the
+//! NDJSON protocol, merging returned blocks through the core's
+//! [`StreamMerger`], [`StoppingRule`] and estimate assembly — the same ones
+//! the local `--shards` runtime uses — so the resulting [`Estimate`] is
+//! bit-identical to a local sharded run of the same `(seed, stream count)`.
 //!
 //! Robustness model (see ARCHITECTURE.md for the failure-mode table):
 //!
@@ -33,11 +33,15 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dipe::remote::{
-    assemble_remote_estimate, endpoint_hash, retry_backoff, Assignment, BlockOutcome, PooledStop,
-    RemoteStats, StreamMerger, StreamWorker, DEFAULT_LEAD_BLOCKS,
+    endpoint_hash, retry_backoff, Assignment, BlockOutcome, RemoteStats, StreamMerger,
+    StreamWorker, DEFAULT_LEAD_BLOCKS,
 };
-use dipe::shards::{FrontStep, RoundVerdict, SerialFront};
-use dipe::{Estimate, PowerSampler};
+use dipe::session::{
+    assemble, consume_rounds, emit_sampling_start, Decision, FinishedRun, NoFold, RoundVerdict,
+    StoppingRule,
+};
+use dipe::shards::{pooled_cycle_counts, FrontStep, SerialFront};
+use dipe::{Estimate, PowerEstimator, PowerSampler, ShardedDipeEstimator};
 use telemetry::LatencyRing;
 
 use crate::json::Json;
@@ -387,8 +391,9 @@ fn drain_locally(
     interval: usize,
     base_seed_offset: u64,
     merger: &mut StreamMerger,
-    stop: &mut PooledStop,
-) -> Result<(), String> {
+    rule: &StoppingRule,
+    tracer: &telemetry::Tracer,
+) -> Result<Decision, String> {
     let input_model = spec.parsed_input_model()?;
     let mut local = StreamWorker::new(
         circuit,
@@ -412,25 +417,12 @@ fn drain_locally(
             let block = local.produce(stream);
             merger.offer(block);
         }
-        assert!(merger.consume_round());
-        local.set_consumed(merger.rounds());
-        match stop.decide(merger.sample()) {
-            RoundVerdict::Continue => continue,
-            RoundVerdict::Satisfied => return Ok(()),
-            RoundVerdict::Exhausted => return Err(exhausted_message(stop, merger)),
+        let set_consumed = |rounds| local.set_consumed(rounds);
+        if let Some(decision) = consume_rounds(merger, &NoFold, &mut (), rule, tracer, set_consumed)
+        {
+            return Ok(decision);
         }
     }
-}
-
-fn exhausted_message(stop: &PooledStop, merger: &StreamMerger) -> String {
-    let rhw = stop
-        .last_decision()
-        .map(|d| d.relative_half_width)
-        .unwrap_or(f64::NAN);
-    format!(
-        "accuracy not reached within {} samples (achieved relative half-width {rhw:.4})",
-        merger.sample().len()
-    )
 }
 
 /// Runs one total-power estimation with the sampling phase distributed over
@@ -476,7 +468,14 @@ pub fn run_remote_total(
     let interval = selection.interval;
     let mut merger = StreamMerger::new(config.streams, sampler.snapshot());
     drop(sampler);
-    let mut stop = PooledStop::new(&dipe_config);
+    let rule = StoppingRule::new(&dipe_config);
+    emit_sampling_start(
+        tracer,
+        &dipe_config,
+        &selection,
+        rule.criterion_name(),
+        config.streams,
+    );
 
     // Connect the fleet.
     let (event_tx, event_rx) = mpsc::channel::<TaggedEvent>();
@@ -508,34 +507,6 @@ pub fn run_remote_total(
             }
         }
         links.push(link);
-    }
-
-    if links.iter().all(|l| !l.alive()) {
-        eprintln!(
-            "warning: no worker reachable (tried {}); falling back to local in-process \
-             execution — results are identical, only slower",
-            config.endpoints.join(", ")
-        );
-        merger.stats_mut().fell_back_local = true;
-        drain_locally(
-            &circuit,
-            spec,
-            interval,
-            config.base_seed_offset,
-            &mut merger,
-            &mut stop,
-        )?;
-        return Ok(finish(
-            &dipe_config,
-            config,
-            counts_at_fanout,
-            interval,
-            selection,
-            merger,
-            stop,
-            links,
-            started,
-        ));
     }
 
     // Hand out the work orders and the initial stream assignments,
@@ -579,8 +550,7 @@ pub fn run_remote_total(
     }
 
     // The merge loop.
-    let mut outcome_error: Option<String> = None;
-    'run: loop {
+    let decision: Result<Decision, String> = 'run: loop {
         // Deadlines first: a worker silent past the block deadline is lost.
         let overdue: Vec<usize> = links
             .iter()
@@ -594,22 +564,28 @@ pub fn run_remote_total(
             declare_down(&ctx, &mut links, index, &message, &mut merger);
         }
         if links.iter().all(|l| !l.alive()) {
-            eprintln!(
-                "warning: every worker was lost mid-run; finishing locally from the exact \
-                 stream frontier — results are identical, only slower"
-            );
+            if merger.stats().workers_connected == 0 {
+                eprintln!(
+                    "warning: no worker reachable (tried {}); falling back to local in-process \
+                     execution — results are identical, only slower",
+                    config.endpoints.join(", ")
+                );
+            } else {
+                eprintln!(
+                    "warning: every worker was lost mid-run; finishing locally from the exact \
+                     stream frontier — results are identical, only slower"
+                );
+            }
             merger.stats_mut().fell_back_local = true;
-            if let Err(message) = drain_locally(
+            break 'run drain_locally(
                 &circuit,
                 spec,
                 interval,
                 config.base_seed_offset,
                 &mut merger,
-                &mut stop,
-            ) {
-                outcome_error = Some(message);
-            }
-            break 'run;
+                &rule,
+                tracer,
+            );
         }
 
         let (index, generation, event) = match event_rx.recv_timeout(Duration::from_millis(50)) {
@@ -666,29 +642,23 @@ pub fn run_remote_total(
                                     link.latency.record((now - previous).as_secs_f64() * 1000.0);
                                 }
                                 link.last_block_at = Some(now);
-                                while merger.consume_round() {
-                                    let rounds = merger.rounds();
-                                    tracer.emit("round_merged", |e| {
-                                        e.field_u64("round", rounds)
-                                            .field_u64(
-                                                "pooled_samples",
-                                                merger.sample().len() as u64,
-                                            )
-                                            .field_u64("shards", config.streams as u64);
-                                    });
+                                let report = |rounds| {
                                     for link in links.iter_mut().filter(|l| l.alive()) {
                                         // A failed send surfaces as the
                                         // reader's own Down event.
                                         let _ = link.send(&consumed_msg(rounds));
                                     }
-                                    match stop.decide(merger.sample()) {
-                                        RoundVerdict::Continue => {}
-                                        RoundVerdict::Satisfied => break 'run,
-                                        RoundVerdict::Exhausted => {
-                                            outcome_error = Some(exhausted_message(&stop, &merger));
-                                            break 'run;
-                                        }
-                                    }
+                                };
+                                let consumed = consume_rounds(
+                                    &mut merger,
+                                    &NoFold,
+                                    &mut (),
+                                    &rule,
+                                    tracer,
+                                    report,
+                                );
+                                if let Some(decision) = consumed {
+                                    break 'run Ok(decision);
                                 }
                             }
                         },
@@ -700,7 +670,7 @@ pub fn run_remote_total(
                 }
             }
         }
-    }
+    };
 
     // Wind the fleet down (best effort — a dead link is already dead).
     for link in links.iter_mut().filter(|l| l.alive()) {
@@ -709,48 +679,31 @@ pub fn run_remote_total(
             let _ = writer.shutdown(std::net::Shutdown::Both);
         }
     }
-    if let Some(message) = outcome_error {
-        return Err(message);
+    let decision = decision?;
+    if decision.verdict == RoundVerdict::Exhausted {
+        return Err(decision.exhausted(tracer).to_string());
     }
-    Ok(finish(
-        &dipe_config,
-        config,
-        counts_at_fanout,
-        interval,
+    // The assembly of a local `--shards streams` run, under its estimator
+    // name: the estimate is bit-identical to it everywhere except wall-clock
+    // diagnostics (and `sim_profile`, which stays `None` — the simulators ran
+    // on other machines).
+    let stats = *merger.stats();
+    let run = FinishedRun {
+        estimator: ShardedDipeEstimator::new(config.streams).name(),
+        cycle_counts: pooled_cycle_counts(
+            counts_at_fanout,
+            &dipe_config,
+            config.streams,
+            interval,
+            merger.sample().len(),
+        ),
         selection,
-        merger,
-        stop,
-        links,
-        started,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    dipe_config: &dipe::DipeConfig,
-    config: &CoordinatorConfig,
-    counts_at_fanout: dipe::sampler::CycleCounts,
-    interval: usize,
-    selection: dipe::IndependenceSelection,
-    merger: StreamMerger,
-    stop: PooledStop,
-    links: Vec<WorkerLink>,
-    started: Instant,
-) -> RemoteOutcome {
-    let decision = stop
-        .last_decision()
-        .expect("at least one round was decided");
-    let estimate = assemble_remote_estimate(
-        config.streams,
-        dipe_config,
-        counts_at_fanout,
-        interval,
-        selection,
-        merger.sample().to_vec(),
-        decision.relative_half_width,
-        stop.criterion_name().to_string(),
-        started.elapsed().as_secs_f64(),
-    );
+        sample: merger.into_sample(),
+        decision,
+        elapsed_seconds: started.elapsed().as_secs_f64(),
+        sim_profile: None,
+    };
+    let estimate = assemble(&NoFold, &(), run, tracer);
     let workers = links
         .into_iter()
         .map(|link| WorkerReport {
@@ -761,9 +714,9 @@ fn finish(
             lost: link.lost,
         })
         .collect();
-    RemoteOutcome {
+    Ok(RemoteOutcome {
         estimate,
-        stats: *merger.stats(),
+        stats,
         workers,
-    }
+    })
 }
