@@ -9,16 +9,17 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::json::Json;
+use crate::lines::BoundedLines;
 use crate::protocol::{Event, JobResult, Request};
 use crate::spec::JobSpec;
 
 /// A blocking client connection to a running `dipe-serve`.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    reader: BoundedLines<TcpStream>,
     writer: TcpStream,
     events: VecDeque<Event>,
     progress_seen: HashMap<u64, u64>,
@@ -36,7 +37,7 @@ impl Client {
             .try_clone()
             .map_err(|e| format!("clone failed: {e}"))?;
         Ok(Client {
-            reader: BufReader::new(stream),
+            reader: BoundedLines::new(stream),
             writer,
             events: VecDeque::new(),
             progress_seen: HashMap::new(),
@@ -108,14 +109,12 @@ impl Client {
     }
 
     fn read_json(&mut self) -> Result<Json, String> {
-        let mut line = String::new();
         loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Err("server closed the connection".to_string()),
+            let line = match self.reader.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => return Err("server closed the connection".to_string()),
                 Err(error) => return Err(format!("read failed: {error}")),
-                Ok(_) => {}
-            }
+            };
             if !line.trim().is_empty() {
                 return Json::parse(line.trim()).map_err(|e| e.to_string());
             }

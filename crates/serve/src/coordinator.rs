@@ -27,7 +27,6 @@
 //!   the coordinator finishes the run on local in-process streams from the
 //!   exact same frontier, with a loud warning — never a changed result.
 
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -45,10 +44,9 @@ use dipe::{Estimate, PowerEstimator, PowerSampler, ShardedDipeEstimator};
 use telemetry::LatencyRing;
 
 use crate::json::Json;
+use crate::lines::{Connection, Pumped};
 use crate::spec::JobSpec;
-use crate::worker::{
-    assign_msg, block_from_json, consumed_msg, stop_msg, work_msg, LineReader, Polled,
-};
+use crate::worker::{assign_msg, block_from_json, consumed_msg, stop_msg, work_msg};
 
 /// Tuning of a coordinated run. Everything here is operational — none of it
 /// can change a bit of the estimate.
@@ -121,14 +119,15 @@ enum WorkerEvent {
     Down(String),
 }
 
-/// One reader-thread message: worker index, connection generation, event.
-/// The generation guards against a stale `Down` from an old connection's
-/// reader killing a freshly reconnected link.
+/// One pump message: worker index, connection generation, event. The
+/// generation guards against a stale `Down` from an old connection's pump
+/// killing a freshly reconnected link.
 type TaggedEvent = (usize, u64, WorkerEvent);
 
 struct WorkerLink {
     endpoint: String,
-    writer: Option<TcpStream>,
+    /// The live connection; dropping it closes the socket and joins its pump.
+    conn: Option<Connection>,
     generation: u64,
     assigned: Vec<u32>,
     last_heard: Instant,
@@ -142,7 +141,7 @@ impl WorkerLink {
     fn new(endpoint: String) -> WorkerLink {
         WorkerLink {
             endpoint,
-            writer: None,
+            conn: None,
             generation: 0,
             assigned: Vec::new(),
             last_heard: Instant::now(),
@@ -154,18 +153,14 @@ impl WorkerLink {
     }
 
     fn alive(&self) -> bool {
-        self.writer.is_some()
+        self.conn.is_some()
     }
 
     fn send(&mut self, value: &Json) -> Result<(), String> {
-        let Some(writer) = self.writer.as_mut() else {
+        let Some(conn) = self.conn.as_mut() else {
             return Err("worker is down".to_string());
         };
-        let mut line = value.to_line();
-        line.push('\n');
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.flush())
+        conn.send(value)
             .map_err(|e| format!("send to {}: {e}", self.endpoint))
     }
 }
@@ -202,60 +197,26 @@ fn connect_with_retry(
     ))
 }
 
-/// Spawns the reader pump of one worker connection. The thread exits when
-/// the socket dies or the run's receiver is gone.
-fn spawn_reader(
+/// Opens the connection of one worker link. Its pump forwards each parsed
+/// line, then the link's end, tagged with the link's index and generation.
+fn open_link(
     index: usize,
     generation: u64,
-    stream: TcpStream,
+    socket: TcpStream,
     events: mpsc::Sender<TaggedEvent>,
-) -> Result<(), String> {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    let mut reader = LineReader::new(stream);
-    std::thread::spawn(move || loop {
-        match reader.poll_line() {
-            Ok(Polled::Pending) => continue,
-            Ok(Polled::Closed) => {
-                let _ = events.send((
-                    index,
-                    generation,
-                    WorkerEvent::Down("connection closed".to_string()),
-                ));
-                return;
-            }
-            Ok(Polled::Line(line)) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match Json::parse(line) {
-                    Ok(value) => {
-                        if events
-                            .send((index, generation, WorkerEvent::Line(value)))
-                            .is_err()
-                        {
-                            return; // the run is over
-                        }
-                    }
-                    Err(e) => {
-                        let _ = events.send((
-                            index,
-                            generation,
-                            WorkerEvent::Down(format!("unparseable line: {e}")),
-                        ));
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = events.send((index, generation, WorkerEvent::Down(e.to_string())));
-                return;
-            }
-        }
-    });
-    Ok(())
+) -> std::io::Result<Connection> {
+    Connection::open(socket, move |item| {
+        let (event, more) = match item {
+            Pumped::Line(line) => match Json::parse(line.trim()) {
+                Ok(value) => (WorkerEvent::Line(value), true),
+                Err(e) => (WorkerEvent::Down(format!("unparseable line: {e}")), false),
+            },
+            Pumped::Closed => (WorkerEvent::Down("connection closed".to_string()), false),
+            Pumped::Failed(message) => (WorkerEvent::Down(message), false),
+        };
+        // A failed send means the run is over.
+        events.send((index, generation, event)).is_ok() && more
+    })
 }
 
 /// Immutable run parameters shared by the recovery paths.
@@ -288,14 +249,10 @@ fn declare_down(
     message: &str,
     merger: &mut StreamMerger,
 ) {
-    let old = links[index].writer.take();
-    let was_alive = old.is_some();
-    if let Some(stream) = old {
-        // Close the socket for *all* its clones: the worker's serving loop
-        // gets a clean EOF and frees up to accept the reconnect below, and
-        // the old reader thread terminates instead of lingering.
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
+    // Dropping the connection shuts the socket down for *all* its clones:
+    // the worker's serving loop gets a clean EOF and frees up to accept the
+    // reconnect below, and the old pump is joined instead of lingering.
+    let was_alive = links[index].conn.take().is_some();
     if !was_alive && links[index].assigned.is_empty() {
         return; // stale Down event for a worker already routed around
     }
@@ -314,36 +271,34 @@ fn declare_down(
     // per-stream frontier, so nothing it lost in flight matters.
     let endpoint = links[index].endpoint.clone();
     merger.stats_mut().retries += 1;
-    if let Ok(stream) = connect_with_retry(&endpoint, 2, ctx.config, merger.stats_mut()) {
-        if let Ok(reader) = stream.try_clone() {
-            links[index].generation += 1;
-            if spawn_reader(index, links[index].generation, reader, ctx.events.clone()).is_ok() {
-                links[index].writer = Some(stream);
-                links[index].last_heard = Instant::now();
-                let streams = links[index].assigned.clone();
-                let mut ok = links[index].send(&ctx.work_order()).is_ok();
-                if ok {
-                    for stream in &streams {
-                        let Assignment { from_block, state } = merger.assignment(*stream as usize);
-                        if links[index]
-                            .send(&assign_msg(*stream, from_block, state.as_ref()))
-                            .is_err()
-                        {
-                            ok = false;
-                            break;
-                        }
+    if let Ok(socket) = connect_with_retry(&endpoint, 2, ctx.config, merger.stats_mut()) {
+        links[index].generation += 1;
+        if let Ok(conn) = open_link(index, links[index].generation, socket, ctx.events.clone()) {
+            links[index].conn = Some(conn);
+            links[index].last_heard = Instant::now();
+            let streams = links[index].assigned.clone();
+            let mut ok = links[index].send(&ctx.work_order()).is_ok();
+            if ok {
+                for stream in &streams {
+                    let Assignment { from_block, state } = merger.assignment(*stream as usize);
+                    if links[index]
+                        .send(&assign_msg(*stream, from_block, state.as_ref()))
+                        .is_err()
+                    {
+                        ok = false;
+                        break;
                     }
-                    let rounds = merger.rounds();
-                    ok = ok && links[index].send(&consumed_msg(rounds)).is_ok();
                 }
-                if ok {
-                    if !ctx.config.quiet {
-                        eprintln!("warning: worker {endpoint} reconnected; resuming its streams");
-                    }
-                    return;
-                }
-                links[index].writer = None;
+                let rounds = merger.rounds();
+                ok = ok && links[index].send(&consumed_msg(rounds)).is_ok();
             }
+            if ok {
+                if !ctx.config.quiet {
+                    eprintln!("warning: worker {endpoint} reconnected; resuming its streams");
+                }
+                return;
+            }
+            links[index].conn = None;
         }
     }
 
@@ -494,13 +449,12 @@ pub fn run_remote_total(
             config,
             merger.stats_mut(),
         ) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(reader) => {
-                    spawn_reader(links.len(), 0, reader, event_tx.clone())?;
-                    link.writer = Some(stream);
+            Ok(socket) => match open_link(links.len(), 0, socket, event_tx.clone()) {
+                Ok(conn) => {
+                    link.conn = Some(conn);
                     merger.stats_mut().workers_connected += 1;
                 }
-                Err(e) => eprintln!("warning: worker {endpoint}: clone socket: {e}"),
+                Err(e) => eprintln!("warning: worker {endpoint}: start its reader: {e}"),
             },
             Err(message) => {
                 eprintln!("warning: worker unreachable: {message}");
@@ -672,11 +626,12 @@ pub fn run_remote_total(
         }
     };
 
-    // Wind the fleet down (best effort — a dead link is already dead).
-    for link in links.iter_mut().filter(|l| l.alive()) {
-        let _ = link.send(&stop_msg());
-        if let Some(writer) = &link.writer {
-            let _ = writer.shutdown(std::net::Shutdown::Both);
+    // Wind the fleet down (best effort — a dead link is already dead):
+    // `stop`, then drop the connection, which shuts it down and joins its
+    // pump. Every other return drops `links`, which does the same.
+    for link in &mut links {
+        if let Some(mut conn) = link.conn.take() {
+            let _ = conn.send(&stop_msg());
         }
     }
     let decision = decision?;

@@ -39,6 +39,7 @@ pub mod checkpoint_io;
 pub mod client;
 pub mod coordinator;
 pub mod json;
+mod lines;
 pub mod protocol;
 pub mod server;
 pub mod spec;
@@ -49,6 +50,7 @@ pub use checkpoint_io::CheckpointFile;
 pub use client::Client;
 pub use coordinator::{CoordinatorConfig, RemoteOutcome, WorkerReport};
 pub use json::{Json, JsonError};
+pub use lines::MAX_LINE_BYTES;
 pub use protocol::{CachePath, Event, JobResult, Request};
 pub use server::{Server, ServerConfig};
 pub use spec::{CircuitRef, JobSpec};

@@ -20,7 +20,7 @@
 //! safe Rust — no self-referential state, no lifetime transmutes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,6 +33,7 @@ use telemetry::{BufferSink, Counter, Histogram, LatencyRing, MetricsRegistry, Tr
 use crate::cache::CircuitCache;
 use crate::checkpoint_io::CheckpointFile;
 use crate::json::Json;
+use crate::lines::BoundedLines;
 use crate::protocol::{CachePath, Event, JobResult, Request};
 use crate::spec::JobSpec;
 
@@ -448,23 +449,21 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             shared.config.idle_timeout_seconds,
         )));
     }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut lines = BoundedLines::new(&stream);
     // Jobs submitted on this connection, for the reaper's grace check.
     let mut own_jobs: Vec<u64> = Vec::new();
     loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return, // client hung up
-                Ok(_) => break,
+        let line = loop {
+            match lines.next_line() {
+                Ok(Some(line)) => break line,
+                Ok(None) => return, // client hung up
                 Err(error)
                     if matches!(
                         error.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    // Partial content (if any) stays in `line`; a torn line
+                    // Partial content (if any) stays in `lines`; a torn line
                     // just keeps accumulating across timeouts.
                     let running = {
                         let jobs = shared.jobs.lock().unwrap();
@@ -486,9 +485,16 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                     }
                     return;
                 }
+                Err(error) if error.kind() == std::io::ErrorKind::InvalidData => {
+                    // An over-long or non-UTF-8 line: answer, then close the
+                    // connection rather than guess where the next line starts.
+                    writer.send(&error_response(&error.to_string()));
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
+                }
                 Err(_) => return,
             }
-        }
+        };
         let text = line.trim();
         if text.is_empty() {
             continue;

@@ -12,14 +12,19 @@
 //! an exact sampler state, so any worker produces the identical tape) and
 //! honesty (blocks are checksummed end to end by [`RemoteBlock`]).
 //!
+//! One thread, the connection's pump (see `crate::lines`), reads the
+//! coordinator's commands. The serving loop applies every command already
+//! received, produces while any stream has production credit, and only when
+//! none has does it wait for the next command — or until a heartbeat is due.
+//!
 //! The loop also hosts the deterministic fault-injection harness: a
 //! [`FaultPlan`] makes the worker kill itself, drop its coordinator
 //! connection, delay sends, or corrupt a sealed payload after a planned
 //! number of produced blocks — real faults through the real transport, which
 //! is what the recovery paths are tested against.
 
-use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 use dipe::remote::{
@@ -31,13 +36,11 @@ use seqstats::PooledSampleState;
 
 use crate::checkpoint_io::{sampler_from_json, sampler_to_json};
 use crate::json::Json;
+use crate::lines::{Connection, Pumped};
 use crate::spec::JobSpec;
 
 /// How often an idle worker emits a `heartbeat` line.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
-
-/// Poll granularity of the command reader while sampling.
-const READ_POLL: Duration = Duration::from_millis(25);
 
 // ---------------------------------------------------------------------------
 // Wire forms
@@ -176,71 +179,6 @@ pub(crate) fn stop_msg() -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental line reading
-// ---------------------------------------------------------------------------
-
-/// A line reader over a read-timeout socket that never tears lines: a read
-/// timing out mid-line keeps the partial content buffered for the next poll.
-pub(crate) struct LineReader {
-    reader: BufReader<TcpStream>,
-    pending: String,
-}
-
-/// One poll of a [`LineReader`].
-pub(crate) enum Polled {
-    /// A complete line (without the trailing newline).
-    Line(String),
-    /// Nothing complete yet; try again later.
-    Pending,
-    /// The peer closed the connection.
-    Closed,
-}
-
-impl LineReader {
-    pub(crate) fn new(stream: TcpStream) -> LineReader {
-        LineReader {
-            reader: BufReader::new(stream),
-            pending: String::new(),
-        }
-    }
-
-    /// Reads until a full line, the read timeout, or EOF.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hard I/O failures (timeouts are [`Polled::Pending`]).
-    pub(crate) fn poll_line(&mut self) -> std::io::Result<Polled> {
-        use std::io::BufRead;
-        match self.reader.read_line(&mut self.pending) {
-            Ok(0) => {
-                if self.pending.trim().is_empty() {
-                    Ok(Polled::Closed)
-                } else {
-                    Ok(Polled::Line(std::mem::take(&mut self.pending)))
-                }
-            }
-            Ok(_) => {
-                if self.pending.ends_with('\n') {
-                    let mut line = std::mem::take(&mut self.pending);
-                    line.truncate(line.trim_end_matches(['\r', '\n']).len());
-                    Ok(Polled::Line(line))
-                } else {
-                    // EOF splitting a line: surface what we have.
-                    Ok(Polled::Line(std::mem::take(&mut self.pending)))
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(Polled::Pending)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The worker loop
 // ---------------------------------------------------------------------------
 
@@ -291,42 +229,29 @@ pub fn run_worker(listener: TcpListener, fault: &FaultPlan, quiet: bool) -> Resu
     }
 }
 
-fn send_line(conn: &mut TcpStream, value: &Json) -> std::io::Result<()> {
-    let mut line = value.to_line();
-    line.push('\n');
-    conn.write_all(line.as_bytes())?;
-    conn.flush()
-}
-
 fn serve_coordinator(
-    conn: TcpStream,
+    socket: TcpStream,
     fault: &FaultPlan,
     produced_total: &mut u64,
     quiet: bool,
 ) -> Result<ConnExit, String> {
-    conn.set_nodelay(true).ok();
-    conn.set_read_timeout(Some(READ_POLL))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    let mut writer = conn.try_clone().map_err(|e| format!("clone socket: {e}"))?;
-    let mut reader = LineReader::new(conn);
+    socket.set_nodelay(true).ok();
+    let (pumped, commands) = mpsc::channel();
+    let mut conn = Connection::open(socket, move |item| pumped.send(item).is_ok())
+        .map_err(|e| format!("start the connection reader: {e}"))?;
 
     // The first line must be the work order.
-    let order = loop {
-        match reader.poll_line().map_err(|e| e.to_string())? {
-            Polled::Line(line) => break line,
-            Polled::Pending => continue,
-            Polled::Closed => return Ok(ConnExit::BackToAccept),
-        }
+    let order = match commands.recv() {
+        Ok(Pumped::Line(line)) => line,
+        Ok(Pumped::Failed(message)) => return Err(message),
+        Ok(Pumped::Closed) | Err(_) => return Ok(ConnExit::BackToAccept),
     };
     let order = Json::parse(order.trim()).map_err(|e| format!("work order: {e}"))?;
     if order.get("type").and_then(Json::as_str) != Some("work") {
-        let _ = send_line(
-            &mut writer,
-            &Json::obj(vec![
-                ("type", Json::str("worker_error")),
-                ("message", Json::str("expected a `work` order first")),
-            ]),
-        );
+        let _ = conn.send(&Json::obj(vec![
+            ("type", Json::str("worker_error")),
+            ("message", Json::str("expected a `work` order first")),
+        ]));
         return Ok(ConnExit::BackToAccept);
     }
     let spec = match order
@@ -336,13 +261,10 @@ fn serve_coordinator(
     {
         Ok(spec) => spec,
         Err(message) => {
-            let _ = send_line(
-                &mut writer,
-                &Json::obj(vec![
-                    ("type", Json::str("worker_error")),
-                    ("message", Json::str(message)),
-                ]),
-            );
+            let _ = conn.send(&Json::obj(vec![
+                ("type", Json::str("worker_error")),
+                ("message", Json::str(message)),
+            ]));
             return Ok(ConnExit::BackToAccept);
         }
     };
@@ -371,11 +293,8 @@ fn serve_coordinator(
         interval,
         lead,
     );
-    send_line(
-        &mut writer,
-        &Json::obj(vec![("type", Json::str("working"))]),
-    )
-    .map_err(|e| format!("ack: {e}"))?;
+    conn.send(&Json::obj(vec![("type", Json::str("working"))]))
+        .map_err(|e| format!("ack: {e}"))?;
     if !quiet {
         eprintln!(
             "dipe-worker: working on {} (interval {interval})",
@@ -385,63 +304,20 @@ fn serve_coordinator(
 
     let mut last_sent = Instant::now();
     loop {
-        // Drain every pending command before producing.
+        // Apply every command already received before producing.
         loop {
-            match reader.poll_line().map_err(|e| e.to_string())? {
-                Polled::Closed => return Ok(ConnExit::BackToAccept),
-                Polled::Pending => break,
-                Polled::Line(line) => {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let msg = Json::parse(line).map_err(|e| format!("command: {e}"))?;
-                    match msg.get("type").and_then(Json::as_str).unwrap_or("") {
-                        "assign" => {
-                            let stream = msg
-                                .get("stream")
-                                .and_then(Json::as_u64)
-                                .ok_or("assign has no stream")?;
-                            let stream =
-                                u32::try_from(stream).map_err(|_| "assign stream out of range")?;
-                            let from_block =
-                                msg.get("from_block").and_then(Json::as_u64).unwrap_or(0);
-                            let state = match msg.get("state") {
-                                None | Some(Json::Null) => None,
-                                Some(v) => Some(sampler_from_json(v)?),
-                            };
-                            worker
-                                .assign(stream, from_block, state.as_ref())
-                                .map_err(|e| format!("assign stream {stream}: {e}"))?;
-                        }
-                        "revoke" => {
-                            let stream = msg
-                                .get("stream")
-                                .and_then(Json::as_u64)
-                                .ok_or("revoke has no stream")?;
-                            worker.revoke(
-                                u32::try_from(stream).map_err(|_| "revoke stream out of range")?,
-                            );
-                        }
-                        "consumed" => {
-                            worker.set_consumed(
-                                msg.get("rounds")
-                                    .and_then(Json::as_u64)
-                                    .ok_or("consumed has no rounds")?,
-                            );
-                        }
-                        "stop" => return Ok(ConnExit::BackToAccept),
-                        "ping" => {
-                            send_line(&mut writer, &Json::obj(vec![("type", Json::str("pong"))]))
-                                .map_err(|e| format!("pong: {e}"))?;
-                        }
-                        other => return Err(format!("unknown worker command {other:?}")),
+            match commands.try_recv() {
+                Ok(item) => {
+                    if let Some(exit) = apply(item, &mut worker, &mut conn)? {
+                        return Ok(exit);
                     }
                 }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return Ok(ConnExit::BackToAccept),
             }
         }
 
-        // Produce one block if any stream has credit, else heartbeat.
+        // Produce while any stream has credit.
         if let Some(stream) = worker.next_ready() {
             let mut block = worker.produce(stream);
             *produced_total += 1;
@@ -458,7 +334,7 @@ fn serve_coordinator(
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
-            send_line(&mut writer, &block_to_json(&block))
+            conn.send(&block_to_json(&block))
                 .map_err(|e| format!("send block: {e}"))?;
             last_sent = Instant::now();
             match fault.after_block(*produced_total) {
@@ -474,24 +350,87 @@ fn serve_coordinator(
                     return Ok(ConnExit::BackToAccept);
                 }
             }
-        } else if last_sent.elapsed() >= HEARTBEAT_EVERY {
-            send_line(
-                &mut writer,
-                &Json::obj(vec![("type", Json::str("heartbeat"))]),
-            )
-            .map_err(|e| format!("heartbeat: {e}"))?;
-            last_sent = Instant::now();
+            continue;
+        }
+
+        // No stream has credit: wait for a command until a heartbeat is due.
+        match commands.recv_timeout(HEARTBEAT_EVERY.saturating_sub(last_sent.elapsed())) {
+            Ok(item) => {
+                if let Some(exit) = apply(item, &mut worker, &mut conn)? {
+                    return Ok(exit);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                conn.send(&Json::obj(vec![("type", Json::str("heartbeat"))]))
+                    .map_err(|e| format!("heartbeat: {e}"))?;
+                last_sent = Instant::now();
+            }
+            Err(RecvTimeoutError::Disconnected) => return Ok(ConnExit::BackToAccept),
         }
     }
+}
+
+/// Applies one item from the connection's pump; `Some` ends the connection.
+fn apply(
+    item: Pumped,
+    worker: &mut StreamWorker<'_>,
+    conn: &mut Connection,
+) -> Result<Option<ConnExit>, String> {
+    let line = match item {
+        Pumped::Line(line) => line,
+        Pumped::Closed => return Ok(Some(ConnExit::BackToAccept)),
+        Pumped::Failed(message) => return Err(message),
+    };
+    let msg = Json::parse(line.trim()).map_err(|e| format!("command: {e}"))?;
+    match msg.get("type").and_then(Json::as_str).unwrap_or("") {
+        "assign" => {
+            let stream = msg
+                .get("stream")
+                .and_then(Json::as_u64)
+                .ok_or("assign has no stream")?;
+            let stream = u32::try_from(stream).map_err(|_| "assign stream out of range")?;
+            let from_block = msg.get("from_block").and_then(Json::as_u64).unwrap_or(0);
+            let state = match msg.get("state") {
+                None | Some(Json::Null) => None,
+                Some(v) => Some(sampler_from_json(v)?),
+            };
+            worker
+                .assign(stream, from_block, state.as_ref())
+                .map_err(|e| format!("assign stream {stream}: {e}"))?;
+        }
+        "revoke" => {
+            let stream = msg
+                .get("stream")
+                .and_then(Json::as_u64)
+                .ok_or("revoke has no stream")?;
+            worker.revoke(u32::try_from(stream).map_err(|_| "revoke stream out of range")?);
+        }
+        "consumed" => {
+            worker.set_consumed(
+                msg.get("rounds")
+                    .and_then(Json::as_u64)
+                    .ok_or("consumed has no rounds")?,
+            );
+        }
+        "stop" => return Ok(Some(ConnExit::BackToAccept)),
+        "ping" => {
+            conn.send(&Json::obj(vec![("type", Json::str("pong"))]))
+                .map_err(|e| format!("pong: {e}"))?;
+        }
+        other => return Err(format!("unknown worker command {other:?}")),
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::CircuitRef;
     use dipe::input::InputModel;
     use dipe::shards::{FrontStep, SerialFront};
     use dipe::{DipeConfig, PowerSampler};
-    use netlist::iscas89;
+    use netlist::{iscas89, NetlistFormat};
+    use std::io::{BufRead, BufReader, Write};
 
     fn produce_one_block() -> RemoteBlock {
         let circuit = iscas89::load("s27").unwrap();
@@ -545,5 +484,47 @@ mod tests {
         let err = block_from_json(&doc).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
         assert!(block_from_json(&Json::parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_work_order_split_inside_a_multibyte_character_is_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap();
+        std::thread::spawn(move || run_worker(listener, &FaultPlan::default(), true));
+
+        // `Json` writes non-ASCII unescaped, so the name's `é` travels as the
+        // two bytes C3 A9; the order is sent in two writes split between them.
+        let spec = JobSpec {
+            circuit: CircuitRef::Inline {
+                name: "café".to_string(),
+                source: "INPUT(a)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(a, q)\ny = NOT(q)\n".to_string(),
+                format: NetlistFormat::Bench,
+            },
+            ..JobSpec::named("x")
+        };
+        let mut order = work_msg(&spec, 1, 0, 1, DEFAULT_LEAD_BLOCKS).to_line();
+        order.push('\n');
+        let split = order.find('é').unwrap() + 1;
+        let mut conn = TcpStream::connect(endpoint).unwrap();
+        // Read the reply on a thread, so a worker that never answers fails
+        // the test at the timeout below instead of hanging it.
+        let reader = conn.try_clone().unwrap();
+        let (reply_tx, replies) = std::sync::mpsc::channel();
+        let reading = std::thread::spawn(move || {
+            let mut reply = String::new();
+            let _ = BufReader::new(reader).read_line(&mut reply);
+            let _ = reply_tx.send(reply);
+        });
+        conn.write_all(&order.as_bytes()[..split]).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        conn.write_all(&order.as_bytes()[split..]).unwrap();
+
+        let reply = replies
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker answers within 5 s");
+        reading.join().unwrap();
+        let reply = Json::parse(reply.trim()).expect("a JSON reply line");
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("working"));
+        conn.write_all(b"{\"type\":\"stop\"}\n").unwrap();
     }
 }

@@ -73,6 +73,12 @@ fn faultless_fleet_matches_local_shards_bit_for_bit() {
     assert_eq!(outcome.stats.assignments, 3);
     assert!(!outcome.stats.fell_back_local);
     assert!(outcome.workers.iter().any(|w| w.blocks > 0));
+    // A worker produces as soon as it has credit, so blocks follow each
+    // other at compute speed, not at a read-poll interval.
+    for worker in outcome.workers.iter().filter(|w| w.blocks >= 2) {
+        let p50 = worker.p50_block_ms.expect("two blocks give a latency");
+        assert!(p50 < 10.0, "{}: p50 {p50} ms", worker.endpoint);
+    }
 }
 
 #[test]
@@ -89,6 +95,8 @@ fn killed_worker_is_reassigned_bit_identically() {
     assert!(outcome.stats.reassignments >= 1, "{:?}", outcome.stats);
     assert!(!outcome.stats.fell_back_local);
     assert!(outcome.workers.iter().any(|w| w.lost));
+    // Recovered by the closed socket, not by the block deadline.
+    assert_eq!(outcome.stats.timeouts, 0, "{:?}", outcome.stats);
 }
 
 #[test]
@@ -103,6 +111,7 @@ fn dropped_connection_reconnects_bit_identically() {
     assert!(outcome.stats.workers_lost >= 1, "{:?}", outcome.stats);
     assert!(outcome.stats.retries >= 1, "{:?}", outcome.stats);
     assert!(!outcome.stats.fell_back_local);
+    assert_eq!(outcome.stats.timeouts, 0, "{:?}", outcome.stats);
 }
 
 #[test]
@@ -116,6 +125,7 @@ fn corrupt_payload_is_detected_and_recovered_bit_identically() {
     assert_bit_identical(&outcome.estimate, &local);
     assert!(outcome.stats.corrupt_blocks >= 1, "{:?}", outcome.stats);
     assert!(outcome.stats.workers_lost >= 1, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.timeouts, 0, "{:?}", outcome.stats);
 }
 
 #[test]

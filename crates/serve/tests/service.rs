@@ -413,6 +413,36 @@ fn error_paths_and_clean_shutdown() {
 }
 
 #[test]
+fn an_oversized_request_line_is_refused_and_the_server_lives_on() {
+    use std::io::{BufRead, BufReader, Read};
+    let (addr, thread) = start_server(1, 2_000);
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    // One byte past the limit and no newline: the server must give up
+    // reading by itself, with every byte sent consumed.
+    std::io::copy(
+        &mut std::io::repeat(b'x').take(dipe_serve::MAX_LINE_BYTES as u64 + 1),
+        &mut raw,
+    )
+    .expect("send the oversized line");
+    let mut reply = String::new();
+    BufReader::new(&raw)
+        .read_line(&mut reply)
+        .expect("an answer within the read timeout");
+    let reply = dipe_serve::Json::parse(reply.trim()).expect("a JSON reply");
+    assert_eq!(
+        reply.get("type").and_then(dipe_serve::Json::as_str),
+        Some("error"),
+        "{reply:?}"
+    );
+
+    let mut client = Client::connect(addr).expect("reconnect");
+    client.ping().expect("ping after the oversized line");
+    shutdown(addr, thread);
+}
+
+#[test]
 fn drained_shutdown_lets_inflight_jobs_finish() {
     let (addr, thread) = start_server(2, 400);
     let spec = JobSpec::named("s27").with_seed(7).with_accuracy(0.10, 0.95);
