@@ -59,6 +59,9 @@ fn parse_options() -> Result<Options, String> {
                 options.cycles = take_value("--cycles")?
                     .parse()
                     .map_err(|e| format!("--cycles: {e}"))?;
+                if options.cycles == 0 {
+                    return Err("--cycles: must be at least 1".into());
+                }
             }
             "--seed" => {
                 options.seed = take_value("--seed")?

@@ -27,6 +27,7 @@ use dipe::{DipeConfig, PowerEstimator};
 use logicsim::DelayModel;
 use netlist::iscas89;
 use seqstats::NodeStoppingPolicy;
+use telemetry::Json;
 
 /// One (circuit × delay model × shard count) measurement.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -103,7 +104,7 @@ pub fn run_estimation_bench(
             for (shards, elapsed, estimate) in cells {
                 rows.push(EstimationBenchRow {
                     circuit: name.clone(),
-                    delay_model: delay_model_id(model),
+                    delay_model: model.id(),
                     shards,
                     elapsed_seconds: elapsed,
                     samples: estimate.sample_size,
@@ -116,23 +117,6 @@ pub fn run_estimation_bench(
         }
     }
     rows
-}
-
-/// Stable identifier of a delay model for the JSON document.
-pub fn delay_model_id(model: DelayModel) -> String {
-    match model {
-        DelayModel::Zero => "zero".to_string(),
-        DelayModel::Unit(ps) => format!("unit:{ps}"),
-        DelayModel::FanoutLoaded {
-            base_ps,
-            per_fanout_ps,
-        } => format!("fanout:{base_ps}:{per_fanout_ps}"),
-        DelayModel::Random {
-            seed,
-            min_ps,
-            max_ps,
-        } => format!("random:{seed}:{min_ps}:{max_ps}"),
-    }
 }
 
 /// `Some(warning)` when the grid's largest shard count exceeds the host's
@@ -151,49 +135,45 @@ pub fn scaling_warning(rows: &[EstimationBenchRow]) -> Option<String> {
     })
 }
 
+const WORKLOAD: &str = "full DIPE breakdown runs to convergence (node-breakdown target, \
+                        default policy, uniform inputs)";
+
+const NOTES: &str = "speedup_vs_one_shard is wall-clock and bounded by host_cpus; on hosts with \
+     fewer cores than shards it measures scheduling overhead plus decision cadence (the merger \
+     evaluates the pooled stopping rule once per round of N blocks, so stopping-rule-bound \
+     workloads can show >1x even on one core), not parallel scaling. Statistical fields \
+     (samples, cycles, mean_power_w) are machine-independent for a fixed seed and shard count.";
+
 /// Serialises the rows as the `BENCH_estimation.json` document.
 pub fn to_json(rows: &[EstimationBenchRow], seed: u64) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scaling_valid = scaling_warning(rows).is_none();
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"estimation\",\n");
-    out.push_str(
-        "  \"workload\": \"full DIPE breakdown runs to convergence (node-breakdown target, \
-         default policy, uniform inputs)\",\n",
-    );
-    out.push_str(&format!(
-        "  \"seed\": {seed},\n  \"host_cpus\": {host_cpus},\n  \
-         \"scaling_valid\": {scaling_valid},\n"
-    ));
-    out.push_str(
-        "  \"notes\": \"speedup_vs_one_shard is wall-clock and bounded by host_cpus; on hosts \
-         with fewer cores than shards it measures scheduling overhead plus decision cadence \
-         (the merger evaluates the pooled stopping rule once per round of N blocks, so \
-         stopping-rule-bound workloads can show >1x even on one core), not parallel scaling. \
-         Statistical fields (samples, cycles, mean_power_w) are machine-independent for a \
-         fixed seed and shard count.\",\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (index, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"delay_model\": \"{}\", \"shards\": {}, \
-             \"elapsed_seconds\": {:.6}, \"samples\": {}, \"measured_cycles\": {}, \
-             \"zero_delay_cycles\": {}, \"mean_power_w\": {:e}, \
-             \"speedup_vs_one_shard\": {:.2}}}{}\n",
-            row.circuit,
-            row.delay_model,
-            row.shards,
-            row.elapsed_seconds,
-            row.samples,
-            row.measured_cycles,
-            row.zero_delay_cycles,
-            row.mean_power_w,
-            row.speedup_vs_one_shard,
-            if index + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows
+        .iter()
+        .map(|row| {
+            Json::obj(vec![
+                ("circuit", Json::str(row.circuit.as_str())),
+                ("delay_model", Json::str(row.delay_model.as_str())),
+                ("shards", Json::usize(row.shards)),
+                ("elapsed_seconds", Json::f64(row.elapsed_seconds)),
+                ("samples", Json::usize(row.samples)),
+                ("measured_cycles", Json::u64(row.measured_cycles)),
+                ("zero_delay_cycles", Json::u64(row.zero_delay_cycles)),
+                ("mean_power_w", Json::f64(row.mean_power_w)),
+                ("speedup_vs_one_shard", Json::f64(row.speedup_vs_one_shard)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("benchmark", Json::str("estimation")),
+        ("workload", Json::str(WORKLOAD)),
+        ("seed", Json::u64(seed)),
+        ("host_cpus", Json::usize(host_cpus)),
+        ("scaling_valid", Json::Bool(scaling_valid)),
+        ("notes", Json::str(NOTES)),
+        ("rows", Json::Arr(rows)),
+    ])
+    .to_pretty()
 }
 
 /// Formats the rows as a human-readable table for the binary's stdout.

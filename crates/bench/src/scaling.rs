@@ -20,6 +20,7 @@ use std::time::Instant;
 use logicsim::{CompiledSimulator, PartitionedSimulator};
 use netlist::generator::{generate_tiled, TiledConfig};
 use netlist::Circuit;
+use telemetry::Json;
 
 use crate::simulators::uniform_stream;
 
@@ -125,27 +126,24 @@ fn scale_circuit(circuit: &Circuit, gates: usize, seed: u64) -> Vec<GateScalingR
 
 /// Serialises the scaling rows as the `gate_scaling` array of the
 /// `BENCH_simulators.json` document.
-pub fn scaling_json(rows: &[GateScalingRow]) -> String {
-    let mut out = String::from("  \"gate_scaling\": [\n");
-    for (index, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"gates\": {}, \"backend\": \"{}\", \"cycles\": {}, \"levels\": {}, \
-             \"bytes_per_gate\": {:.2}, \"elapsed_seconds\": {:.6}, \"cycles_per_sec\": {:.1}, \
-             \"gate_evals_per_sec\": {:.0}, \"speedup_vs_compiled\": {:.2}}}{}\n",
-            row.gates,
-            row.backend,
-            row.cycles,
-            row.levels,
-            row.bytes_per_gate,
-            row.elapsed_seconds,
-            row.cycles_per_sec,
-            row.gate_evals_per_sec,
-            row.speedup_vs_compiled,
-            if index + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]");
-    out
+pub fn scaling_json(rows: &[GateScalingRow]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|row| {
+                Json::obj(vec![
+                    ("gates", Json::u64(row.gates)),
+                    ("backend", Json::str(row.backend)),
+                    ("cycles", Json::u64(row.cycles)),
+                    ("levels", Json::u64(row.levels.into())),
+                    ("bytes_per_gate", Json::f64(row.bytes_per_gate)),
+                    ("elapsed_seconds", Json::f64(row.elapsed_seconds)),
+                    ("cycles_per_sec", Json::f64(row.cycles_per_sec)),
+                    ("gate_evals_per_sec", Json::f64(row.gate_evals_per_sec)),
+                    ("speedup_vs_compiled", Json::f64(row.speedup_vs_compiled)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Formats the scaling rows as a human-readable table.
@@ -215,11 +213,14 @@ mod tests {
     fn scaling_json_fragment_is_well_formed() {
         let rows = run_gate_scaling(&[1_000], 1);
         let json = scaling_json(&rows);
-        assert!(json.starts_with("  \"gate_scaling\": [\n"));
-        assert!(json.ends_with("  ]"));
-        assert!(json.contains("\"backend\": \"levelized-partitioned\""));
-        assert!(json.contains("\"bytes_per_gate\""));
-        assert!(!json.contains(",\n  ]"));
+        assert_eq!(Json::parse(&json.to_pretty()).unwrap(), json);
+        let entries = json.as_arr().expect("gate_scaling is an array");
+        let backend = entries[1].get("backend").and_then(Json::as_str);
+        assert_eq!(backend, Some("levelized-partitioned"));
+        for (entry, row) in entries.iter().zip(&rows) {
+            let bytes = entry.get("bytes_per_gate").and_then(Json::as_f64);
+            assert_eq!(bytes, Some(row.bytes_per_gate));
+        }
         let rendered = format_scaling_rows(&rows).render();
         assert!(rendered.contains("Gate-evals/s"));
     }

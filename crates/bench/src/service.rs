@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dipe_serve::{CachePath, Client, JobSpec, Server, ServerConfig};
+use telemetry::Json;
 
 /// Storm shape.
 #[derive(Debug, Clone)]
@@ -292,72 +293,65 @@ pub fn run_service_storm(options: &ServiceBenchOptions) -> ServiceBenchReport {
     }
 }
 
+const WORKLOAD: &str = "dipe-serve client storm: concurrent clients submitting total-power \
+                        jobs over TCP, latency split by which cache tier served each job";
+
+const NOTES: &str = "latency is client-observed (submit to result event) over a loopback \
+     socket; warm-tier jobs skip parse+compile and warm-up+interval selection, visible in \
+     mean_executed_cycles. Throughput is bounded by host_cpus and the server's worker permits. \
+     The dashboard section is the round-trip latency of the metrics RPC (Prometheus \
+     exposition) polled concurrently with the storm.";
+
 /// Serialises the report as the `BENCH_service.json` document.
 pub fn to_json(report: &ServiceBenchReport) -> String {
     let options = &report.options;
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"service\",\n");
-    out.push_str(
-        "  \"workload\": \"dipe-serve client storm: concurrent clients submitting total-power \
-         jobs over TCP, latency split by which cache tier served each job\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host_cpus\": {host_cpus},\n  \"clients\": {},\n  \"jobs_per_client\": {},\n  \
-         \"streams\": {},\n  \"workers\": {},\n  \"slice_cycles\": {},\n  \"seed\": {},\n  \
-         \"relative_error\": {},\n  \"confidence\": {},\n",
-        options.clients,
-        options.jobs_per_client,
-        options.streams,
-        options.workers,
-        options.slice_cycles,
-        options.seed,
-        options.relative_error,
-        options.confidence,
-    ));
-    out.push_str(&format!(
-        "  \"total_jobs\": {},\n  \"elapsed_seconds\": {:.6},\n  \"jobs_per_sec\": {:.2},\n  \
-         \"p50_ms\": {:.3},\n  \"p95_ms\": {:.3},\n",
-        report.total_jobs,
-        report.elapsed_seconds,
-        report.jobs_per_sec,
-        report.p50_ms,
-        report.p95_ms,
-    ));
-    out.push_str(&format!(
-        "  \"dashboard\": {{\"rpc\": \"metrics\", \"polls\": {}, \"mean_ms\": {:.3}, \
-         \"p50_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-        report.dashboard.polls,
-        report.dashboard.mean_ms,
-        report.dashboard.p50_ms,
-        report.dashboard.p95_ms,
-    ));
-    out.push_str("  \"cache_tiers\": [\n");
-    for (index, tier) in report.tiers.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"jobs\": {}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"mean_executed_cycles\": {:.0}}}{}\n",
-            tier.tier,
-            tier.count,
-            tier.mean_ms,
-            tier.p50_ms,
-            tier.p95_ms,
-            tier.mean_executed_cycles,
-            if index + 1 == report.tiers.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str(
-        "  ],\n  \"notes\": \"latency is client-observed (submit to result event) over \
-         a loopback socket; warm-tier jobs skip parse+compile and warm-up+interval selection, \
-         visible in mean_executed_cycles. Throughput is bounded by host_cpus and the server's \
-         worker permits. The dashboard section is the round-trip latency of the metrics RPC \
-         (Prometheus exposition) polled concurrently with the storm.\"\n}\n",
-    );
-    out
+    let dashboard = &report.dashboard;
+    let tiers = report
+        .tiers
+        .iter()
+        .map(|tier| {
+            Json::obj(vec![
+                ("tier", Json::str(tier.tier.as_str())),
+                ("jobs", Json::usize(tier.count)),
+                ("mean_ms", Json::f64(tier.mean_ms)),
+                ("p50_ms", Json::f64(tier.p50_ms)),
+                ("p95_ms", Json::f64(tier.p95_ms)),
+                ("mean_executed_cycles", Json::f64(tier.mean_executed_cycles)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("benchmark", Json::str("service")),
+        ("workload", Json::str(WORKLOAD)),
+        ("host_cpus", Json::usize(host_cpus)),
+        ("clients", Json::usize(options.clients)),
+        ("jobs_per_client", Json::usize(options.jobs_per_client)),
+        ("streams", Json::usize(options.streams)),
+        ("workers", Json::usize(options.workers)),
+        ("slice_cycles", Json::u64(options.slice_cycles)),
+        ("seed", Json::u64(options.seed)),
+        ("relative_error", Json::f64(options.relative_error)),
+        ("confidence", Json::f64(options.confidence)),
+        ("total_jobs", Json::usize(report.total_jobs)),
+        ("elapsed_seconds", Json::f64(report.elapsed_seconds)),
+        ("jobs_per_sec", Json::f64(report.jobs_per_sec)),
+        ("p50_ms", Json::f64(report.p50_ms)),
+        ("p95_ms", Json::f64(report.p95_ms)),
+        (
+            "dashboard",
+            Json::obj(vec![
+                ("rpc", Json::str("metrics")),
+                ("polls", Json::usize(dashboard.polls)),
+                ("mean_ms", Json::f64(dashboard.mean_ms)),
+                ("p50_ms", Json::f64(dashboard.p50_ms)),
+                ("p95_ms", Json::f64(dashboard.p95_ms)),
+            ]),
+        ),
+        ("cache_tiers", Json::Arr(tiers)),
+        ("notes", Json::str(NOTES)),
+    ])
+    .to_pretty()
 }
 
 /// Formats the report for the binary's stdout.
@@ -425,7 +419,9 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"service\""));
         assert!(json.contains("\"cache_tiers\""));
         assert!(json.contains("\"tier\": \"warm\""));
-        assert!(json.contains("\"dashboard\": {\"rpc\": \"metrics\""));
+        let document = Json::parse(&json).expect("the report parses");
+        let dashboard = document.get("dashboard").expect("dashboard object");
+        assert_eq!(dashboard.get("rpc").and_then(Json::as_str), Some("metrics"));
         assert!(format_report(&report).render().contains("p95"));
     }
 

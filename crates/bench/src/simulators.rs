@@ -67,7 +67,7 @@ use logicsim::{
     TimeSlicedSimulator, VariableDelaySimulator, ZeroDelaySimulator, LANES,
 };
 use netlist::{iscas89, Circuit};
-use telemetry::{BufferSink, Tracer};
+use telemetry::{BufferSink, Json, Tracer};
 
 /// One backend × circuit measurement.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -441,40 +441,33 @@ pub fn to_json_with_scaling(
     cycles: usize,
     seed: u64,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"simulator_ablation\",\n");
-    out.push_str(
-        "  \"workload\": \"decorrelation advance (uniform input stream + state-only step)\",\n",
-    );
-    out.push_str(&format!("  \"cycles\": {cycles},\n  \"seed\": {seed},\n"));
+    let workload = "decorrelation advance (uniform input stream + state-only step)";
+    let mut members = vec![
+        ("benchmark", Json::str("simulator_ablation")),
+        ("workload", Json::str(workload)),
+        ("cycles", Json::usize(cycles)),
+        ("seed", Json::u64(seed)),
+    ];
     if !scaling.is_empty() {
-        out.push_str(&crate::scaling::scaling_json(scaling));
-        out.push_str(",\n");
+        members.push(("gate_scaling", crate::scaling::scaling_json(scaling)));
     }
-    out.push_str("  \"rows\": [\n");
-    for (index, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"backend\": \"{}\", \"cycles\": {}, \"lanes\": {}, \
-             \"elapsed_seconds\": {:.6}, \"lane_cycles_per_sec\": {:.1}, \
-             \"cycles_per_sec_basis\": \"{}\", \"speedup_vs_baseline\": {:.2}}}{}\n",
-            row.circuit,
-            row.backend,
-            row.cycles,
-            row.lanes,
-            row.elapsed_seconds,
-            row.lane_cycles_per_sec,
-            row.cycles_per_sec_basis,
-            row.speedup_vs_baseline,
-            if index + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// [`to_json_with_scaling`] without a scaling sweep.
-pub fn to_json(rows: &[SimulatorBenchRow], cycles: usize, seed: u64) -> String {
-    to_json_with_scaling(rows, &[], cycles, seed)
+    let rows = rows
+        .iter()
+        .map(|row| {
+            Json::obj(vec![
+                ("circuit", Json::str(row.circuit.as_str())),
+                ("backend", Json::str(row.backend)),
+                ("cycles", Json::u64(row.cycles)),
+                ("lanes", Json::u64(row.lanes.into())),
+                ("elapsed_seconds", Json::f64(row.elapsed_seconds)),
+                ("lane_cycles_per_sec", Json::f64(row.lane_cycles_per_sec)),
+                ("cycles_per_sec_basis", Json::str(row.cycles_per_sec_basis)),
+                ("speedup_vs_baseline", Json::f64(row.speedup_vs_baseline)),
+            ])
+        })
+        .collect();
+    members.push(("rows", Json::Arr(rows)));
+    Json::obj(members).to_pretty()
 }
 
 /// Formats the rows as a human-readable table for the binary's stdout.
@@ -565,7 +558,7 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough_for_ci() {
         let rows = run_simulator_ablation(&["s27".into()], 500, 1);
-        let json = to_json(&rows, 500, 1);
+        let json = to_json_with_scaling(&rows, &[], 500, 1);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"benchmark\": \"simulator_ablation\""));
         assert!(json.contains("\"backend\": \"bit_parallel\""));

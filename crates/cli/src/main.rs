@@ -43,12 +43,13 @@ use dipe::{
     run_replicated_dipe_with_glitch, CycleBudget, DipeConfig, DipeEstimator, Estimate, EvalMode,
     MeasureMode, PowerEstimator, Progress, ShardedDipeEstimator,
 };
+use dipe_cli::breakdown::breakdown_json;
 use dipe_serve::coordinator::run_remote_total;
 use dipe_serve::{CircuitRef, CoordinatorConfig, JobSpec, RemoteOutcome};
 use logicsim::SlotSchedule;
 use netlist::{iscas89, Circuit, DelayModel, FileSource, NetlistFormat, NetlistSource};
 use seqstats::NodeStoppingPolicy;
-use telemetry::{FileSink, Tracer};
+use telemetry::{FileSink, Json, Tracer};
 
 struct Options {
     circuit: String,
@@ -481,65 +482,72 @@ fn print_estimate_summary(circuit: &Circuit, estimate: &Estimate, model: DelayMo
     );
 }
 
-fn json_header(circuit: &Circuit, estimate: &Estimate, model: DelayModel, seed: u64) -> String {
-    format!(
-        "  \"circuit\": \"{}\",\n  \"estimator\": \"{}\",\n  \"delay_model\": \"{}\",\n  \
-         \"seed\": {seed},\n  \"mean_power_w\": {:e},\n  \"mean_power_w_bits\": {},\n  \
-         \"relative_half_width\": {},\n  \"relative_half_width_bits\": {},\n  \
-         \"sample_size\": {},\n  \
-         \"independence_interval\": {},\n  \"zero_delay_cycles\": {},\n  \
-         \"measured_cycles\": {},\n  \"elapsed_seconds\": {:.6},\n  \"sim_profile\": {}",
-        circuit.name(),
-        estimate.estimator,
-        model.id(),
-        estimate.mean_power_w,
-        estimate.mean_power_w.to_bits(),
-        estimate
-            .relative_half_width
-            .map(|r| format!("{r:e}"))
-            .unwrap_or_else(|| "null".to_string()),
-        estimate
-            .relative_half_width
-            .map(|r| r.to_bits().to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        estimate.sample_size,
-        estimate
-            .independence_interval()
-            .map(|i| i.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-        estimate.cycle_counts.zero_delay_cycles,
-        estimate.cycle_counts.measured_cycles,
-        estimate.elapsed_seconds,
-        sim_profile_json(estimate),
-    )
+/// The members every `--json` report starts with, in report order. Numbers
+/// follow the codec's one rule, so each decimal parses back to the bits its
+/// `_bits` twin carries.
+fn report_members(
+    circuit: &Circuit,
+    estimate: &Estimate,
+    options: &Options,
+) -> Vec<(&'static str, Json)> {
+    let rhw = estimate.relative_half_width;
+    let bits = |value: f64| Json::u64(value.to_bits());
+    let interval = estimate
+        .independence_interval()
+        .map_or(Json::Null, Json::usize);
+    let cycles = &estimate.cycle_counts;
+    vec![
+        ("circuit", Json::str(circuit.name())),
+        ("estimator", Json::str(estimate.estimator.as_str())),
+        ("delay_model", Json::str(options.delay_model.id())),
+        ("seed", Json::u64(options.seed)),
+        ("mean_power_w", Json::f64(estimate.mean_power_w)),
+        ("mean_power_w_bits", bits(estimate.mean_power_w)),
+        ("relative_half_width", rhw.map_or(Json::Null, Json::f64)),
+        ("relative_half_width_bits", rhw.map_or(Json::Null, bits)),
+        ("sample_size", Json::usize(estimate.sample_size)),
+        ("independence_interval", interval),
+        ("zero_delay_cycles", Json::u64(cycles.zero_delay_cycles)),
+        ("measured_cycles", Json::u64(cycles.measured_cycles)),
+        ("elapsed_seconds", Json::f64(estimate.elapsed_seconds)),
+        ("sim_profile", sim_profile_json(estimate)),
+    ]
 }
 
 /// The simulator's per-run dispatch/eval counters as a JSON object (`null`
 /// when the session did not surface a profile). Wall-clock facts only: they
 /// never feed back into the estimate.
-fn sim_profile_json(estimate: &Estimate) -> String {
-    match &estimate.sim_profile {
-        None => "null".to_string(),
-        Some(p) => format!(
-            "{{\"events_scheduled\": {}, \"events_cancelled\": {}, \
-             \"wheel_revolutions\": {}, \"inline_evals\": {}, \"gather_evals\": {}, \
-             \"levelized_cycles\": {}, \"wheel_cycles\": {}, \"tiles_settled\": {}, \
-             \"time_sliced_cycles\": {}, \"time_sliced_word_evals\": {}, \
-             \"time_sliced_lane_events\": {}, \"time_sliced_lane_cancellations\": {}}}",
-            p.events_scheduled,
-            p.events_cancelled,
-            p.wheel_revolutions,
-            p.inline_evals,
-            p.gather_evals,
-            p.levelized_cycles,
-            p.wheel_cycles,
-            p.tiles_settled,
-            p.time_sliced_cycles,
-            p.time_sliced_word_evals,
-            p.time_sliced_lane_events,
+fn sim_profile_json(estimate: &Estimate) -> Json {
+    let Some(p) = &estimate.sim_profile else {
+        return Json::Null;
+    };
+    let counters = [
+        ("events_scheduled", p.events_scheduled),
+        ("events_cancelled", p.events_cancelled),
+        ("wheel_revolutions", p.wheel_revolutions),
+        ("inline_evals", p.inline_evals),
+        ("gather_evals", p.gather_evals),
+        ("levelized_cycles", p.levelized_cycles),
+        ("wheel_cycles", p.wheel_cycles),
+        ("tiles_settled", p.tiles_settled),
+        ("time_sliced_cycles", p.time_sliced_cycles),
+        ("time_sliced_word_evals", p.time_sliced_word_evals),
+        ("time_sliced_lane_events", p.time_sliced_lane_events),
+        (
+            "time_sliced_lane_cancellations",
             p.time_sliced_lane_cancellations,
         ),
-    }
+    ];
+    let members = counters.map(|(key, count)| (key, Json::u64(count)));
+    Json::obj(members.to_vec())
+}
+
+/// Writes a `--json` report: one object of `members`, laid out for reading.
+fn write_report(path: &str, members: Vec<(&str, Json)>) -> Result<(), String> {
+    std::fs::write(path, Json::obj(members).to_pretty())
+        .map_err(|e| format!("failed to write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 fn run_total(options: &Options, circuit: &Circuit, config: &DipeConfig) -> Result<(), String> {
@@ -557,12 +565,7 @@ fn run_total(options: &Options, circuit: &Circuit, config: &DipeConfig) -> Resul
     }?;
     print_estimate_summary(circuit, &estimate, options.delay_model);
     if let Some(path) = &options.json {
-        let json = format!(
-            "{{\n{}\n}}\n",
-            json_header(circuit, &estimate, options.delay_model, options.seed)
-        );
-        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_report(path, report_members(circuit, &estimate, options))?;
     }
     Ok(())
 }
@@ -626,18 +629,9 @@ fn run_distributed(options: &Options, circuit: &Circuit) -> Result<(), String> {
     print_estimate_summary(circuit, &outcome.estimate, options.delay_model);
     print_remote_summary(options, streams, &outcome);
     if let Some(path) = &options.json {
-        let json = format!(
-            "{{\n{},\n  \"remote\": {}\n}}\n",
-            json_header(
-                circuit,
-                &outcome.estimate,
-                options.delay_model,
-                options.seed
-            ),
-            remote_json(&outcome)
-        );
-        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-        println!("wrote {path}");
+        let mut members = report_members(circuit, &outcome.estimate, options);
+        members.push(("remote", remote_json(&outcome)));
+        write_report(path, members)?;
     }
     Ok(())
 }
@@ -679,44 +673,37 @@ fn print_remote_summary(options: &Options, streams: usize, outcome: &RemoteOutco
     }
 }
 
-fn remote_json(outcome: &RemoteOutcome) -> String {
+fn remote_json(outcome: &RemoteOutcome) -> Json {
     let stats = &outcome.stats;
-    let workers: Vec<String> = outcome
+    let workers = outcome
         .workers
         .iter()
         .map(|w| {
-            format!(
-                "{{\"endpoint\": \"{}\", \"blocks\": {}, \"p50_block_ms\": {}, \
-                 \"mean_block_ms\": {}, \"lost\": {}}}",
-                w.endpoint,
-                w.blocks,
-                w.p50_block_ms
-                    .map(|ms| format!("{ms:.3}"))
-                    .unwrap_or_else(|| "null".to_string()),
-                w.mean_block_ms
-                    .map(|ms| format!("{ms:.3}"))
-                    .unwrap_or_else(|| "null".to_string()),
-                w.lost
-            )
+            Json::obj(vec![
+                ("endpoint", Json::str(w.endpoint.as_str())),
+                ("blocks", Json::u64(w.blocks)),
+                ("p50_block_ms", w.p50_block_ms.map_or(Json::Null, Json::f64)),
+                (
+                    "mean_block_ms",
+                    w.mean_block_ms.map_or(Json::Null, Json::f64),
+                ),
+                ("lost", Json::Bool(w.lost)),
+            ])
         })
         .collect();
-    format!(
-        "{{\"workers_connected\": {}, \"workers_lost\": {}, \"assignments\": {}, \
-         \"reassignments\": {}, \"retries\": {}, \"timeouts\": {}, \"duplicate_blocks\": {}, \
-         \"corrupt_blocks\": {}, \"blocks_consumed\": {}, \"fell_back_local\": {}, \
-         \"workers\": [{}]}}",
-        stats.workers_connected,
-        stats.workers_lost,
-        stats.assignments,
-        stats.reassignments,
-        stats.retries,
-        stats.timeouts,
-        stats.duplicate_blocks,
-        stats.corrupt_blocks,
-        stats.blocks_consumed,
-        stats.fell_back_local,
-        workers.join(", ")
-    )
+    Json::obj(vec![
+        ("workers_connected", Json::u64(stats.workers_connected)),
+        ("workers_lost", Json::u64(stats.workers_lost)),
+        ("assignments", Json::u64(stats.assignments)),
+        ("reassignments", Json::u64(stats.reassignments)),
+        ("retries", Json::u64(stats.retries)),
+        ("timeouts", Json::u64(stats.timeouts)),
+        ("duplicate_blocks", Json::u64(stats.duplicate_blocks)),
+        ("corrupt_blocks", Json::u64(stats.corrupt_blocks)),
+        ("blocks_consumed", Json::u64(stats.blocks_consumed)),
+        ("fell_back_local", Json::Bool(stats.fell_back_local)),
+        ("workers", Json::Arr(workers)),
+    ])
 }
 
 fn run_replicated(options: &Options, circuit: &Circuit, config: &DipeConfig) -> Result<(), String> {
@@ -947,14 +934,10 @@ fn run_breakdown(options: &Options, circuit: &Circuit, config: &DipeConfig) -> R
     }
 
     if let Some(path) = &options.json {
-        let json = format!(
-            "{{\n{},\n  \"breakdown_total_power_w\": {:e},\n  \"breakdown\": {}}}\n",
-            json_header(circuit, &estimate, options.delay_model, options.seed),
-            total,
-            breakdown.to_json()
-        );
-        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
-        println!("wrote {path}");
+        let mut members = report_members(circuit, &estimate, options);
+        members.push(("breakdown_total_power_w", Json::f64(total)));
+        members.push(("breakdown", breakdown_json(breakdown)));
+        write_report(path, members)?;
     }
     Ok(())
 }

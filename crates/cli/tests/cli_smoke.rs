@@ -6,7 +6,10 @@
 //! * bad flag values and invalid flag combinations must exit non-zero with a
 //!   one-line diagnostic on stderr, never a panic or a silent success.
 
+use std::path::Path;
 use std::process::{Command, Output};
+
+use telemetry::Json;
 
 fn dipe(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dipe"))
@@ -379,6 +382,101 @@ fn json_reports_identify_their_delay_model() {
         json.contains("\"delay_model\": \"unit:70\""),
         "report does not identify its delay model:\n{json}"
     );
+}
+
+/// Runs `dipe` with `--json` into `path` and parses the report.
+fn json_report(args: &[&str], path: &Path) -> Json {
+    let mut args = args.to_vec();
+    args.extend(["--quiet", "--json", path.to_str().unwrap()]);
+    let output = dipe(&args);
+    assert!(
+        output.status.success(),
+        "{args:?} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(path).unwrap();
+    std::fs::remove_file(path).ok();
+    let report = Json::parse(&text).unwrap_or_else(|e| panic!("{args:?}: {e}\n{text}"));
+    // Reports are written in the codec's indented layout.
+    assert_eq!(report.to_pretty(), text);
+    report
+}
+
+#[test]
+fn json_reports_escape_the_circuit_name() {
+    // A file netlist is named after its file stem, which may hold any
+    // character JSON must escape.
+    let dir = std::env::temp_dir().join(format!("dipe_smoke_names_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist = dir.join("q\"uote\\back.bench");
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/mix3.bench"
+    );
+    std::fs::copy(fixture, &netlist).unwrap();
+    let report = dir.join("report.json");
+    let netlist = netlist.to_str().unwrap();
+    for extra in [&[][..], &["--breakdown"][..]] {
+        let mut args = vec![netlist, "--error", "0.2"];
+        args.extend_from_slice(extra);
+        let json = json_report(&args, &report);
+        assert_eq!(
+            json.get("circuit").and_then(Json::as_str),
+            Some("q\"uote\\back"),
+            "{args:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn breakdown_json_reports_carry_groups_nets_and_glitch_fields() {
+    let path = std::env::temp_dir().join(format!("dipe_smoke_{}.bd.json", std::process::id()));
+    let report = json_report(&["s27", "--breakdown", "--delay-model", "unit"], &path);
+    let breakdown = report.get("breakdown").expect("breakdown object");
+    let f64_of = |value: &Json, key: &str| {
+        value
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("missing number `{key}`"))
+    };
+    assert_eq!(breakdown.get("circuit").and_then(Json::as_str), Some("s27"));
+    assert_eq!(
+        f64_of(breakdown, "total_power_w").to_bits(),
+        f64_of(&report, "breakdown_total_power_w").to_bits()
+    );
+    let glitch_fraction = f64_of(breakdown, "glitch_fraction");
+    assert!(glitch_fraction > 0.0 && glitch_fraction < 1.0);
+    assert!(f64_of(breakdown, "total_glitch_power_w") > 0.0);
+
+    let circuit = netlist::iscas89::load("s27").unwrap();
+    let nets = breakdown.get("nets").and_then(Json::as_arr).expect("nets");
+    assert_eq!(nets.len(), circuit.num_nets());
+    let groups = breakdown
+        .get("groups")
+        .and_then(Json::as_arr)
+        .expect("groups");
+    let class = |g: &Json| g.get("class").and_then(Json::as_str).map(str::to_string);
+    assert!(groups
+        .iter()
+        .any(|g| class(g).as_deref() == Some("sequential")));
+    let grouped: usize = groups
+        .iter()
+        .map(|g| g.get("nets").and_then(Json::as_usize).unwrap())
+        .sum();
+    assert_eq!(grouped, nets.len());
+    for net in nets {
+        let (power, functional, glitch) = (
+            f64_of(net, "power_w"),
+            f64_of(net, "functional_power_w"),
+            f64_of(net, "glitch_power_w"),
+        );
+        assert!(f64_of(net, "glitch_activity") >= 0.0);
+        assert!((functional + glitch - power).abs() <= 1e-12 * power.max(f64::MIN_POSITIVE));
+        if net.get("driver").and_then(Json::as_str) != Some("combinational") {
+            assert_eq!(glitch, 0.0, "{}", net.to_line());
+        }
+    }
 }
 
 #[test]

@@ -470,7 +470,7 @@ struct MergeStream<P> {
 /// One merger serves both transports. Remote blocks ([`RemoteBlock`],
 /// offered through [`offer`](Self::offer)) are checksum-verified and keep
 /// their end state so a lost stream can be reassigned from its exact
-/// frontier; in-process shard blocks ([`offer_local`](Self::offer_local))
+/// frontier; in-process shard blocks (`offer_local`)
 /// carry a fold payload of type `P` instead and are never serialized,
 /// checksummed or snapshotted. Either way the pooled sample of the same
 /// seed streams is bit-identical.

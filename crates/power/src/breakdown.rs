@@ -1,6 +1,5 @@
 //! Spatial power breakdown: per-net activity mapped through capacitance to
-//! per-net / per-driver-class power, with ranked hot-spot extraction and a
-//! JSON export.
+//! per-net / per-driver-class power, with ranked hot-spot extraction.
 //!
 //! The scalar estimate of Eq. (1) is the capacitance-weighted sum of per-net
 //! switching activities; a [`PowerBreakdown`] keeps the summands. By
@@ -45,7 +44,8 @@ impl DriverClass {
         }
     }
 
-    /// A stable lowercase label (used in reports and the JSON export).
+    /// A stable lowercase label (used in reports and the `dipe --json`
+    /// export).
     pub fn label(self) -> &'static str {
         match self {
             DriverClass::Combinational => "combinational",
@@ -299,76 +299,6 @@ impl PowerBreakdown {
         })
         .collect()
     }
-
-    /// Serialises the breakdown as a self-contained JSON document (the
-    /// vendored `serde` is a compile-time stub, so the export is hand-rolled
-    /// like the benchmark artifacts).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"circuit\": \"{}\",\n  \"vdd_v\": {},\n  \"clock_hz\": {},\n  \
-             \"observations\": {},\n  \"total_power_w\": {:e},\n  \
-             \"total_glitch_power_w\": {:e},\n  \"glitch_fraction\": {:e},\n",
-            json_escape(&self.circuit),
-            self.technology.vdd_v(),
-            self.technology.clock_hz(),
-            self.observations,
-            self.total_power_w(),
-            self.total_glitch_power_w(),
-            self.glitch_fraction(),
-        ));
-        out.push_str("  \"groups\": [\n");
-        let groups = self.group_totals();
-        for (i, g) in groups.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"class\": \"{}\", \"nets\": {}, \"power_w\": {:e}, \
-                 \"glitch_power_w\": {:e}}}{}\n",
-                g.class.label(),
-                g.nets,
-                g.power_w,
-                g.glitch_power_w,
-                if i + 1 == groups.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"nets\": [\n");
-        for (i, n) in self.per_net.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"net\": {}, \"driver\": \"{}\", \
-                 \"activity\": {:e}, \"activity_std_error\": {:e}, \
-                 \"glitch_activity\": {:e}, \"capacitance_f\": {:e}, \
-                 \"power_w\": {:e}, \"functional_power_w\": {:e}, \
-                 \"glitch_power_w\": {:e}}}{}\n",
-                json_escape(&n.name),
-                n.net_index,
-                n.driver.label(),
-                n.activity,
-                n.activity_std_error,
-                n.glitch_activity,
-                n.capacitance_f,
-                n.power_w,
-                n.functional_power_w,
-                n.glitch_power_w,
-                if i + 1 == self.per_net.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Escapes the characters JSON string literals cannot carry raw. Net names
-/// are plain identifiers in practice; this keeps pathological names valid.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -450,25 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_well_formed_enough() {
-        let (_, b) = s27_breakdown();
-        let json = b.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"circuit\": \"s27\""));
-        assert!(json.contains("\"total_power_w\""));
-        assert!(json.contains("\"driver\": \"sequential\""));
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n    ]"));
-    }
-
-    #[test]
-    fn json_escape_handles_pathological_names() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
     fn zero_activity_means_zero_power() {
         let c = iscas89::load("s27").unwrap();
         let loads = CapacitanceModel::default().loads(&c);
@@ -520,16 +431,5 @@ mod tests {
         let by_power: Vec<usize> = b.hot_spots(5).iter().map(|n| n.net_index).collect();
         let by_glitch: Vec<usize> = hot.iter().map(|n| n.net_index).collect();
         assert_ne!(by_power, by_glitch);
-    }
-
-    #[test]
-    fn json_export_carries_the_glitch_fields() {
-        let (_, b) = s27_breakdown();
-        let json = b.to_json();
-        assert!(json.contains("\"total_glitch_power_w\""));
-        assert!(json.contains("\"glitch_fraction\""));
-        assert!(json.contains("\"glitch_activity\""));
-        assert!(json.contains("\"functional_power_w\""));
-        assert!(json.contains("\"glitch_power_w\""));
     }
 }

@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use dipe_serve::{Client, Event, JobSpec};
+use dipe_serve::{Client, Event, JobSpec, Json};
 use netlist::DelayModel;
 
 fn run() -> Result<(), String> {
@@ -88,7 +88,10 @@ fn run() -> Result<(), String> {
             if wait {
                 wait_and_print(&mut client, job_id)?;
             } else {
-                println!("{{\"job_id\":{job_id}}}");
+                println!(
+                    "{}",
+                    Json::obj(vec![("job_id", Json::u64(job_id))]).to_line()
+                );
             }
         }
         "resume" => {

@@ -24,8 +24,8 @@ use dipe::{
     IndependenceSelection, InputStreamState, IntervalTrial, SamplerState, SessionCheckpoint,
 };
 use seqstats::{MomentAccumulatorState, PooledSampleState};
+use telemetry::Json;
 
-use crate::json::Json;
 use crate::spec::JobSpec;
 
 /// Version of the checkpoint *file* envelope (the embedded session state has
@@ -119,10 +119,7 @@ fn checkpoint_to_json(cp: &SessionCheckpoint) -> Json {
         ("estimator", Json::str(cp.estimator.clone())),
         ("sampler", sampler_to_json(&cp.sampler)),
         ("selection", selection_to_json(&cp.selection)),
-        (
-            "sample_bits",
-            Json::Arr(cp.sample.bits.iter().copied().map(Json::u64).collect()),
-        ),
+        ("sample_bits", u64_arr(&cp.sample.bits)),
         (
             "last_rhw_bits",
             cp.last_rhw_bits.map_or(Json::Null, Json::u64),
@@ -175,17 +172,7 @@ fn checkpoint_from_json(value: &Json) -> Result<SessionCheckpoint, String> {
 
 pub(crate) fn sampler_to_json(s: &SamplerState) -> Json {
     Json::obj(vec![
-        (
-            "rng_state",
-            Json::Arr(
-                s.input_stream
-                    .rng_state
-                    .iter()
-                    .copied()
-                    .map(Json::u64)
-                    .collect(),
-            ),
-        ),
+        ("rng_state", u64_arr(&s.input_stream.rng_state)),
         ("previous", bool_arr(&s.input_stream.previous)),
         ("has_previous", Json::Bool(s.input_stream.has_previous)),
         ("trace_cursor", Json::u64(s.input_stream.trace_cursor)),
@@ -286,17 +273,17 @@ fn selection_from_json(value: &Json) -> Result<IndependenceSelection, String> {
     })
 }
 
-fn accumulator_to_json(acc: &MomentAccumulatorState) -> Json {
-    let nums = |v: &[u64]| Json::Arr(v.iter().copied().map(Json::u64).collect());
+/// The exact integer accumulator sums, shared by checkpoints and shard blocks.
+pub(crate) fn accumulator_to_json(acc: &MomentAccumulatorState) -> Json {
     Json::obj(vec![
         ("observations", Json::u64(acc.observations)),
-        ("totals", nums(&acc.totals)),
-        ("totals_sq", nums(&acc.totals_sq)),
-        ("glitch_totals", nums(&acc.glitch_totals)),
+        ("totals", u64_arr(&acc.totals)),
+        ("totals_sq", u64_arr(&acc.totals_sq)),
+        ("glitch_totals", u64_arr(&acc.glitch_totals)),
     ])
 }
 
-fn accumulator_from_json(value: &Json) -> Result<MomentAccumulatorState, String> {
+pub(crate) fn accumulator_from_json(value: &Json) -> Result<MomentAccumulatorState, String> {
     let state = MomentAccumulatorState {
         observations: req_u64(value, "observations")?,
         totals: u64_array(value.get("totals").ok_or("accumulator has no totals")?)?,
@@ -319,6 +306,10 @@ fn bool_arr(values: &[bool]) -> Json {
     Json::Arr(values.iter().map(|&b| Json::Bool(b)).collect())
 }
 
+pub(crate) fn u64_arr(values: &[u64]) -> Json {
+    Json::Arr(values.iter().copied().map(Json::u64).collect())
+}
+
 fn bools(value: &Json) -> Result<Vec<bool>, String> {
     value
         .as_arr()
@@ -328,7 +319,7 @@ fn bools(value: &Json) -> Result<Vec<bool>, String> {
         .collect()
 }
 
-fn u64_array(value: &Json) -> Result<Vec<u64>, String> {
+pub(crate) fn u64_array(value: &Json) -> Result<Vec<u64>, String> {
     value
         .as_arr()
         .ok_or("expected an array of u64")?

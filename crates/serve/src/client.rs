@@ -12,7 +12,8 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::json::Json;
+use telemetry::Json;
+
 use crate::lines::BoundedLines;
 use crate::protocol::{Event, JobResult, Request};
 use crate::spec::JobSpec;

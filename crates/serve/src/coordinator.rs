@@ -41,9 +41,8 @@ use dipe::session::{
 };
 use dipe::shards::{pooled_cycle_counts, FrontStep, SerialFront};
 use dipe::{Estimate, PowerEstimator, PowerSampler, ShardedDipeEstimator};
-use telemetry::LatencyRing;
+use telemetry::{Json, LatencyRing};
 
-use crate::json::Json;
 use crate::lines::{Connection, Pumped};
 use crate::spec::JobSpec;
 use crate::worker::{assign_msg, block_from_json, consumed_msg, stop_msg, work_msg};

@@ -22,6 +22,10 @@
 //!   position, latch state — and resumed later (even by a different server
 //!   process) to the bit-identical result of the uninterrupted run.
 //!
+//! Every line on the wire and every checkpoint file is written and parsed by
+//! the workspace's one JSON codec, [`telemetry::json`], re-exported here as
+//! [`Json`] and [`JsonError`].
+//!
 //! The crate ships two binaries: `dipe-serve` (the server) and `dipe-client`
 //! (a minimal scriptable client used by CI smoke tests).
 //!
@@ -38,7 +42,6 @@ pub mod cache;
 pub mod checkpoint_io;
 pub mod client;
 pub mod coordinator;
-pub mod json;
 mod lines;
 pub mod protocol;
 pub mod server;
@@ -49,9 +52,9 @@ pub use cache::{CacheStats, CircuitCache, CompiledEntry};
 pub use checkpoint_io::CheckpointFile;
 pub use client::Client;
 pub use coordinator::{CoordinatorConfig, RemoteOutcome, WorkerReport};
-pub use json::{Json, JsonError};
 pub use lines::MAX_LINE_BYTES;
 pub use protocol::{CachePath, Event, JobResult, Request};
 pub use server::{Server, ServerConfig};
 pub use spec::{CircuitRef, JobSpec};
+pub use telemetry::{Json, JsonError};
 pub use worker::run_worker;

@@ -16,7 +16,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::thread::JoinHandle;
 
-use crate::json::Json;
+use telemetry::Json;
 
 /// The longest line, in bytes before its `\n`, that any network input of
 /// the crate accepts, and so the most one connection can make a reader

@@ -28,7 +28,8 @@
 //! Any malformed or failed request yields an `error` response instead. See
 //! `docs/ARCHITECTURE.md` for the full message table with examples.
 
-use crate::json::Json;
+use telemetry::Json;
+
 use crate::spec::JobSpec;
 
 /// A client → server request.

@@ -28,11 +28,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use dipe::{CycleBudget, DipeEstimator, Estimate, Progress, SessionCheckpoint};
-use telemetry::{BufferSink, Counter, Histogram, LatencyRing, MetricsRegistry, TraceSink, Tracer};
+use telemetry::{
+    BufferSink, Counter, Histogram, Json, LatencyRing, MetricsRegistry, TraceSink, Tracer,
+};
 
 use crate::cache::CircuitCache;
 use crate::checkpoint_io::CheckpointFile;
-use crate::json::Json;
 use crate::lines::BoundedLines;
 use crate::protocol::{CachePath, Event, JobResult, Request};
 use crate::spec::JobSpec;

@@ -16,7 +16,7 @@ use dipe::input::InputModel;
 use dipe::{DipeConfig, DipeError, MeasureMode};
 use netlist::{iscas89, Circuit, DelayModel, NetlistError, NetlistFormat};
 
-use crate::json::Json;
+use telemetry::Json;
 
 /// The circuit a job runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]

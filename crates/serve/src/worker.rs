@@ -33,9 +33,12 @@ use dipe::remote::{
 };
 use dipe::SamplerState;
 use seqstats::PooledSampleState;
+use telemetry::Json;
 
-use crate::checkpoint_io::{sampler_from_json, sampler_to_json};
-use crate::json::Json;
+use crate::checkpoint_io::{
+    accumulator_from_json, accumulator_to_json, sampler_from_json, sampler_to_json, u64_arr,
+    u64_array,
+};
 use crate::lines::{Connection, Pumped};
 use crate::spec::JobSpec;
 
@@ -54,24 +57,12 @@ pub fn block_to_json(block: &RemoteBlock) -> Json {
         ("type", Json::str("block")),
         ("stream", Json::u64(u64::from(block.stream))),
         ("block_index", Json::u64(block.block_index)),
-        (
-            "power_bits",
-            Json::Arr(block.powers.bits.iter().copied().map(Json::u64).collect()),
-        ),
+        ("power_bits", u64_arr(&block.powers.bits)),
         ("end_state", sampler_to_json(&block.end_state)),
         ("checksum", Json::u64(block.checksum)),
     ];
     if let Some(acc) = &block.accumulator {
-        let nums = |v: &[u64]| Json::Arr(v.iter().copied().map(Json::u64).collect());
-        pairs.push((
-            "accumulator",
-            Json::obj(vec![
-                ("observations", Json::u64(acc.observations)),
-                ("totals", nums(&acc.totals)),
-                ("totals_sq", nums(&acc.totals_sq)),
-                ("glitch_totals", nums(&acc.glitch_totals)),
-            ]),
-        ));
+        pairs.push(("accumulator", accumulator_to_json(acc)));
     }
     Json::obj(pairs)
 }
@@ -93,13 +84,7 @@ pub fn block_from_json(value: &Json) -> Result<RemoteBlock, String> {
         .get("block_index")
         .and_then(Json::as_u64)
         .ok_or("block has no block_index")?;
-    let bits = value
-        .get("power_bits")
-        .and_then(Json::as_arr)
-        .ok_or("block has no power_bits")?
-        .iter()
-        .map(|v| v.as_u64().ok_or("power_bits must be u64".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
+    let bits = u64_array(value.get("power_bits").ok_or("block has no power_bits")?)?;
     let end_state = sampler_from_json(value.get("end_state").ok_or("block has no end_state")?)?;
     let checksum = value
         .get("checksum")
@@ -107,25 +92,7 @@ pub fn block_from_json(value: &Json) -> Result<RemoteBlock, String> {
         .ok_or("block has no checksum")?;
     let accumulator = match value.get("accumulator") {
         None | Some(Json::Null) => None,
-        Some(v) => {
-            let nums = |key: &str| -> Result<Vec<u64>, String> {
-                v.get(key)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("accumulator has no {key}"))?
-                    .iter()
-                    .map(|n| n.as_u64().ok_or_else(|| format!("{key} must be u64")))
-                    .collect()
-            };
-            Some(seqstats::MomentAccumulatorState {
-                observations: v
-                    .get("observations")
-                    .and_then(Json::as_u64)
-                    .ok_or("accumulator has no observations")?,
-                totals: nums("totals")?,
-                totals_sq: nums("totals_sq")?,
-                glitch_totals: nums("glitch_totals")?,
-            })
-        }
+        Some(v) => Some(accumulator_from_json(v)?),
     };
     Ok(RemoteBlock {
         stream,

@@ -5,11 +5,12 @@
 //! the service, its caches and its checkpoint files must be invisible in the
 //! numbers.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 
 use dipe::{run_to_completion, DipeEstimator, Estimate, PowerEstimator};
-use dipe_serve::{CachePath, Client, JobSpec, Server, ServerConfig};
+use dipe_serve::{CachePath, Client, Event, JobSpec, Json, Request, Server, ServerConfig};
 
 fn start_server(workers: usize, slice_cycles: u64) -> (SocketAddr, JoinHandle<()>) {
     let dir = std::env::temp_dir().join(format!(
@@ -182,18 +183,52 @@ fn checkpoint_stop_resume_reproduces_the_uninterrupted_estimate() {
         .with_accuracy(0.04, 0.99);
     let reference = serial_estimate(&spec);
 
-    let mut client = Client::connect(addr).expect("connect");
-    let job_id = client.submit(&spec).expect("submit");
     // Kill the job the moment it becomes checkpointable (first sampling
-    // slice): the server parks this request until then, writes the file,
-    // then cancels the job.
-    let path = client.checkpoint(job_id, true).expect("checkpoint");
-    let killed = client.wait_result(job_id);
-    assert!(
-        killed.is_err(),
-        "job should have been stopped, got {killed:?}"
-    );
+    // slice): the server parks the checkpoint request until then, writes the
+    // file, then cancels the job. Both requests go out in one write to a
+    // fresh server (so the job is job 1): the request is registered before
+    // the job leaves warm-up, however fast the job runs.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut requests = String::new();
+    for request in [
+        Request::Submit { job: spec.clone() },
+        Request::Checkpoint {
+            job_id: 1,
+            stop: true,
+        },
+    ] {
+        requests.push_str(&request.to_json().to_line());
+        requests.push('\n');
+    }
+    stream.write_all(requests.as_bytes()).expect("send");
+    // The `checkpointed` response and the job's terminal event come from
+    // different threads, in either order.
+    let (mut path, mut killed) = (None, None);
+    let mut lines = BufReader::new(stream).lines();
+    while path.is_none() || killed.is_none() {
+        let line = lines.next().expect("server closed early").expect("read");
+        let value = Json::parse(&line).expect("response parses");
+        match Event::from_json(&value).expect("known line") {
+            Some(Event::Progress { .. }) => {}
+            Some(Event::Failed { job_id, message }) => killed = Some((job_id, message)),
+            Some(Event::Result(result)) => {
+                panic!("job should have been stopped, got {result:?}")
+            }
+            None => match value.get("type").and_then(Json::as_str) {
+                Some("accepted") => {
+                    assert_eq!(value.get("job_id").and_then(Json::as_u64), Some(1));
+                }
+                Some("checkpointed") => {
+                    path = value.get("path").and_then(Json::as_str).map(str::to_string);
+                }
+                _ => panic!("unexpected response {}", value.to_line()),
+            },
+        }
+    }
+    assert_eq!(killed.map(|(job_id, _)| job_id), Some(1));
+    let path = path.expect("checkpoint path");
 
+    let mut client = Client::connect(addr).expect("connect");
     let resumed_id = client.resume(&path).expect("resume");
     let resumed = client.wait_result(resumed_id).expect("resumed result");
     assert_eq!(resumed.cache, CachePath::Resumed);

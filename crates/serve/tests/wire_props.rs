@@ -1,6 +1,10 @@
 //! Property tests of the shard-block wire form: every serialized block must
 //! round-trip bit-for-bit through the NDJSON encoding, and a single flipped
-//! bit anywhere in the payload must fail the checksum.
+//! bit anywhere in the payload must fail the checksum. A second battery
+//! checks that the two JSON writers — whole values (`Json::to_line`) and the
+//! streaming trace `EventBuilder` — escape strings and write floats alike.
+
+use std::sync::Arc;
 
 use dipe::remote::RemoteBlock;
 use dipe::sampler::CycleCounts;
@@ -9,6 +13,7 @@ use dipe_serve::worker::{block_from_json, block_to_json};
 use dipe_serve::Json;
 use proptest::prelude::*;
 use seqstats::{MomentAccumulatorState, PooledSampleState};
+use telemetry::{BufferSink, EventBuilder, Tracer};
 
 /// Assembles a block from independently fuzzed raw components. Booleans
 /// arrive as `0u64..2` vectors (the vendored proptest has no tuple or bool
@@ -130,5 +135,74 @@ proptest! {
         let line = block_to_json(&mutated).to_line();
         let back = block_from_json(&Json::parse(&line).expect("parses")).expect("decodes");
         prop_assert!(!back.verify(), "corruption must survive the wire");
+    }
+}
+
+/// A string of arbitrary scalar values, with ASCII (quotes, backslashes and
+/// control characters included) interleaved so escapes are common. Code
+/// points `char` cannot hold (surrogates) are skipped.
+fn string_of(points: Vec<u32>, ascii: Vec<u32>) -> String {
+    (0..points.len().max(ascii.len()))
+        .flat_map(|i| [points.get(i), ascii.get(i)])
+        .flatten()
+        .filter_map(|&point| char::from_u32(point))
+        .collect()
+}
+
+/// Emits one trace event into a fresh buffer sink and parses the line back.
+fn traced(fill: impl FnOnce(&mut EventBuilder)) -> Json {
+    let sink = Arc::new(BufferSink::bounded(1));
+    Tracer::to_sink(sink.clone()).emit("prop", fill);
+    let lines = sink.lines();
+    Json::parse(&lines[0]).expect("trace line parses")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A string written by either writer parses back to itself.
+    #[test]
+    fn strings_round_trip_through_both_writers(
+        points in collection::vec(0u32..0x11_0000, 0usize..64),
+        ascii in collection::vec(0u32..0x80, 0usize..64),
+    ) {
+        let s = string_of(points, ascii);
+        let line = Json::str(s.as_str()).to_line();
+        let value = Json::parse(&line).expect("value line parses");
+        prop_assert_eq!(value.as_str(), Some(s.as_str()));
+        let event = traced(|e| {
+            e.field_str("k", &s);
+        });
+        prop_assert_eq!(event.get("k").and_then(Json::as_str), Some(s.as_str()));
+    }
+
+    /// The trace's decimal field and `Json::f64` parse to the same bits when
+    /// finite and are both `null` otherwise; the `_bits` field is exact.
+    #[test]
+    fn floats_agree_between_both_writers(
+        random in 0u64..u64::MAX,
+        special in 0u64..8,
+    ) {
+        let bits = match special {
+            0 => f64::NAN.to_bits(),
+            1 => f64::INFINITY.to_bits(),
+            2 => f64::NEG_INFINITY.to_bits(),
+            3 => (-0.0f64).to_bits(),
+            4 => 1,
+            _ => random,
+        };
+        let v = f64::from_bits(bits);
+        let value = Json::parse(&Json::f64(v).to_line()).expect("value parses");
+        let event = traced(|e| {
+            e.field_f64_bits("v", v);
+        });
+        let decimal = event.get("v").expect("decimal field");
+        if v.is_finite() {
+            prop_assert_eq!(value.as_f64().map(f64::to_bits), Some(bits));
+            prop_assert_eq!(decimal.as_f64().map(f64::to_bits), Some(bits));
+        } else {
+            prop_assert!(value.is_null() && decimal.is_null(), "{}", event.to_line());
+        }
+        prop_assert_eq!(event.get("v_bits").and_then(Json::as_u64), Some(bits));
     }
 }

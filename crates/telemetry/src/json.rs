@@ -1,9 +1,11 @@
-//! A hand-rolled JSON value, parser and writer.
+//! The workspace's one JSON codec: a value type, a bounded parser and a
+//! writer.
 //!
-//! The vendored `serde` is an offline stub without `serde_json`, so the
-//! service speaks JSON through this module — the same discipline as
-//! `power::PowerBreakdown::to_json`, extended with a parser for the inbound
-//! direction.
+//! The vendored `serde` is an offline stub without `serde_json`, so every
+//! JSON document the workspace reads or writes goes through this module: the
+//! `dipe-serve` wire protocol and checkpoint files, the trace lines of
+//! [`crate::trace`], the `dipe --json` reports and the `BENCH_*.json`
+//! benchmark records.
 //!
 //! The one deliberate design decision is that **numbers are kept as raw
 //! text** ([`Json::Num`] holds the unparsed token). The protocol carries
@@ -12,8 +14,14 @@
 //! everything above 2^53 and break the bit-exact checkpoint contract. Callers
 //! decode a number as `u64`, `i64`, `usize` or `f64` at the use site — and
 //! encode from the exact source type — so nothing is lost in transit.
+//!
+//! There is one number rule: [`Json::f64`] writes Rust's shortest
+//! round-trip decimal and `null` for non-finite values. There is one writer
+//! with two layouts: [`Json::to_line`] (one line, for the wire, traces and
+//! checkpoints) and [`Json::to_pretty`] (indented, for files people read).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON document (or a document under construction).
 #[derive(Debug, Clone, PartialEq)]
@@ -161,6 +169,7 @@ impl Json {
     /// Returns a [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -179,63 +188,95 @@ impl Json {
     /// embedded newlines, so one value is always one line).
     pub fn to_line(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Serialises for people to read, with a trailing newline: two-space
+    /// indent, one member or element per line, `"key": value`. Empty arrays
+    /// and objects stay `[]` and `{}`. Only whitespace differs from
+    /// [`to_line`](Self::to_line), so both parse to the same value.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Appends this value to `out`: on one line when `depth` is `None`,
+    /// else indented as if nested `depth` levels deep.
+    pub(crate) fn write(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(raw) => out.push_str(raw),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => escape(out, s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
+                write_members(out, depth, ('[', ']'), items.iter().map(|v| (None, v)));
             }
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\":");
-                    value.write(out);
-                }
-                out.push('}');
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_members(out, depth, ('{', '}'), members);
             }
         }
     }
 }
 
-/// Escapes a string for embedding between JSON quotes (the `power` crate's
-/// escaping rules: quotes, backslashes and control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Writes the members of an array (keys `None`) or object between `open`
+/// and `close`, in the layout `depth` selects (see [`Json::write`]).
+fn write_members<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    (open, close): (char, char),
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let newline = |out: &mut String, depth: Option<usize>| {
+        if let Some(depth) = depth {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        }
+    };
+    let inner = depth.map(|d| d + 1);
+    let empty = members.len() == 0;
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, inner);
+        if let Some(key) = key {
+            escape(out, key);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if !empty {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+/// Appends `s` to `out` as a quoted JSON string literal. Quotes,
+/// backslashes and control characters are escaped (controls as `\u00XX`);
+/// every other character is copied verbatim, a run at a time.
+pub(crate) fn escape(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte == b'"' || byte == b'\\' || byte < 0x20 {
+            // ASCII delimiters, so `i` is a character boundary.
+            out.push_str(&s[run..i]);
+            match byte {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                _ => write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail"),
             }
-            c => out.push(c),
+            run = i + 1;
         }
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Nesting depth bound: protocol messages and checkpoint files are a few
@@ -244,6 +285,7 @@ fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -356,6 +398,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one slice. Those delimiters are ASCII, so the run ends on a
+            // character boundary of the (already valid UTF-8) input, and the
+            // whole string costs time linear in its length.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -406,18 +457,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                Some(_) => {
-                    // Decode one UTF-8 scalar from the raw bytes.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -470,8 +510,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("malformed number (empty exponent)"));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Ok(Json::Num(raw.to_string()))
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 }
 
@@ -571,5 +610,75 @@ mod tests {
         assert!(v.get("x").is_none());
         assert!(v.as_str().is_none());
         assert!(v.as_u64().is_none());
+    }
+
+    #[test]
+    fn escape_handles_pathological_names() {
+        assert_eq!(Json::str("plain").to_line(), r#""plain""#);
+        assert_eq!(Json::str("a\"b\\c").to_line(), r#""a\"b\\c""#);
+        assert_eq!(Json::str("x\ny").to_line(), r#""x\u000ay""#);
+        assert_eq!(Json::str("\u{1f}é😀").to_line(), "\"\\u001fé😀\"");
+        // Keys go through the same escaper.
+        let doc = Json::obj(vec![("my\"ckt\\x", Json::Null)]);
+        assert_eq!(doc.to_line(), r#"{"my\"ckt\\x":null}"#);
+        assert_eq!(Json::parse(&doc.to_line()).unwrap(), doc);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for bad in [
+            "\"a\u{1}b\"",
+            "\"line\nbreak\"",
+            "\"tab\t\"",
+            "{\"k\u{0}\":1}",
+        ] {
+            let error = Json::parse(bad).unwrap_err();
+            assert_eq!(error.message, "raw control character in string", "{bad:?}");
+        }
+        // Escaped, they are fine; DEL and non-ASCII are not JSON controls.
+        let escaped = Json::parse(r#""a\u0001b\n\u007fü""#).unwrap();
+        assert_eq!(escaped.as_str(), Some("a\u{1}b\n\u{7f}ü"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of one- to four-byte characters and escapes: a parser that
+        // rescans the rest of the input per character takes minutes here.
+        let text = "net_a = AND(b, c) ü € 😀\n\"\\".repeat(1 << 15);
+        let line = Json::str(&text).to_line();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(Json::parse(&line)));
+        let parsed = rx.recv_timeout(std::time::Duration::from_secs(5));
+        let parsed = parsed.expect("a 1 MiB string must parse well within 5 s");
+        assert_eq!(parsed.unwrap().as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn pretty_layout_indents_one_member_per_line() {
+        let doc = Json::obj(vec![
+            ("circuit", Json::str("s27")),
+            ("bits", Json::u64(7)),
+            ("none", Json::Null),
+            ("empty", Json::Arr(vec![])),
+            ("bare", Json::obj(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj(vec![("a", Json::f64(0.5)), ("b", Json::Bool(true))]),
+                    Json::usize(3),
+                ]),
+            ),
+        ]);
+        let expected = "{\n  \"circuit\": \"s27\",\n  \"bits\": 7,\n  \"none\": null,\n  \
+             \"empty\": [],\n  \"bare\": {},\n  \"rows\": [\n    {\n      \"a\": 0.5,\n      \
+             \"b\": true\n    },\n    3\n  ]\n}\n";
+        assert_eq!(doc.to_pretty(), expected);
+        assert_eq!(Json::parse(&doc.to_pretty()).unwrap(), doc);
+        // The line layout of the same value is unchanged by the pretty one.
+        assert_eq!(
+            doc.to_line(),
+            r#"{"circuit":"s27","bits":7,"none":null,"empty":[],"bare":{},"rows":[{"a":0.5,"b":true},3]}"#
+        );
+        assert_eq!(Json::u64(1).to_pretty(), "1\n");
     }
 }

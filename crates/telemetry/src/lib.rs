@@ -1,4 +1,5 @@
-//! Workspace telemetry: metrics, structured tracing, and latency rings.
+//! Workspace telemetry: metrics, structured tracing, latency rings, and the
+//! workspace's JSON codec.
 //!
 //! Every crate in the workspace that wants to *observe itself* goes through
 //! this one: it has no dependencies, costs one branch when disabled, and
@@ -6,7 +7,7 @@
 //! estimator's point of view, so the bit-exact determinism contract of the
 //! DIPE sessions is untouched by attaching or detaching it.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`metrics`] — a registry of named atomic [`Counter`]s, [`Gauge`]s and
 //!   log-linear-bucket [`Histogram`]s with Prometheus-style text
@@ -23,6 +24,12 @@
 //!   so an estimation run can be reconstructed from its trace bit-for-bit.
 //!   Sinks: [`FileSink`] (CLI `--trace`), [`BufferSink`] (the `dipe-serve`
 //!   per-job trace buffer behind the `trace` RPC), and any user impl.
+//! * [`json`] — the one JSON codec every crate reads and writes through: the
+//!   [`Json`] value (numbers kept as raw text, so 64-bit integers and IEEE
+//!   bit patterns survive exactly), a bounded parser that runs in linear
+//!   time, and one writer with a single-line layout (wire, traces,
+//!   checkpoints) and an indented one (`--json` reports, `BENCH_*.json`).
+//!   Trace lines stream through the same escaper and number rule.
 //! * [`latency`] — a fixed-capacity [`LatencyRing`] of recent observations
 //!   with exact order-statistic quantiles (p50/p95 of the retained window),
 //!   backing the service's job-latency metrics.
@@ -52,9 +59,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod json;
 pub mod latency;
 pub mod metrics;
 pub mod trace;
+
+pub use json::{Json, JsonError};
 
 pub use latency::LatencyRing;
 pub use metrics::{Counter, Gauge, Histogram, Metrics, MetricsRegistry};

@@ -11,15 +11,19 @@
 //! {"trace_version":1,"event":"stopping_eval","samples":1024,"rhw":0.049,"rhw_bits":4587366580439587226,...}
 //! ```
 //!
-//! Floating-point fields are written twice: human-readable (Rust's shortest
-//! round-trip formatting) and as exact IEEE-754 bit patterns
+//! Floating-point fields are written twice: human-readable (the codec's
+//! number rule, [`Json::f64`]) and as exact IEEE-754 bit patterns
 //! ([`EventBuilder::field_f64_bits`]) so a consumer can reconstruct the run
-//! bit-for-bit without trusting decimal round-trips.
+//! bit-for-bit without trusting decimal round-trips. Lines stream straight
+//! into one buffer through the [`crate::json`] writer, so they escape and
+//! format exactly like every other JSON document of the workspace.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+use crate::json::{self, Json};
 
 /// Version of the trace event schema. Bump when a field changes meaning or
 /// an event is renamed; consumers must check it before interpreting events.
@@ -40,77 +44,51 @@ pub struct EventBuilder {
 
 impl EventBuilder {
     fn new(event: &str) -> Self {
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"trace_version\":");
-        line.push_str(&TRACE_VERSION.to_string());
-        line.push_str(",\"event\":\"");
-        push_escaped(&mut line, event);
-        line.push('"');
-        EventBuilder { line }
+        let mut builder = EventBuilder {
+            line: String::with_capacity(96),
+        };
+        builder.field_u64("trace_version", u64::from(TRACE_VERSION));
+        builder.field_str("event", event);
+        builder
     }
 
-    fn key(&mut self, name: &str) {
-        self.line.push_str(",\"");
-        push_escaped(&mut self.line, name);
-        self.line.push_str("\":");
+    /// Appends `"name":value`, opening the object on the first field.
+    fn field(&mut self, name: &str, value: &Json) -> &mut Self {
+        self.line.push(if self.line.is_empty() { '{' } else { ',' });
+        json::escape(&mut self.line, name);
+        self.line.push(':');
+        value.write(&mut self.line, None);
+        self
     }
 
     /// Adds an unsigned integer field.
     pub fn field_u64(&mut self, name: &str, value: u64) -> &mut Self {
-        self.key(name);
-        self.line.push_str(&value.to_string());
-        self
+        self.field(name, &Json::u64(value))
     }
 
     /// Adds a boolean field.
     pub fn field_bool(&mut self, name: &str, value: bool) -> &mut Self {
-        self.key(name);
-        self.line.push_str(if value { "true" } else { "false" });
-        self
+        self.field(name, &Json::Bool(value))
     }
 
     /// Adds a string field (JSON-escaped).
     pub fn field_str(&mut self, name: &str, value: &str) -> &mut Self {
-        self.key(name);
-        self.line.push('"');
-        push_escaped(&mut self.line, value);
-        self.line.push('"');
-        self
+        self.field(name, &Json::str(value))
     }
 
-    /// Adds a floating-point field twice: `name` with Rust's shortest
-    /// round-trip decimal form, and `name_bits` with the exact IEEE-754 bit
-    /// pattern as an unsigned integer. Non-finite values render as `null`
-    /// in the decimal field (JSON has no NaN/Inf); the bits field is always
-    /// exact.
+    /// Adds a floating-point field twice: `name` with the codec's shortest
+    /// round-trip decimal ([`Json::f64`]), and `name_bits` with the exact
+    /// IEEE-754 bit pattern as an unsigned integer. Non-finite values render
+    /// as `null` in the decimal field (JSON has no NaN/Inf); the bits field
+    /// is always exact.
     pub fn field_f64_bits(&mut self, name: &str, value: f64) -> &mut Self {
-        self.key(name);
-        if value.is_finite() {
-            self.line.push_str(&format!("{value:?}"));
-        } else {
-            self.line.push_str("null");
-        }
-        let bits_name = format!("{name}_bits");
-        self.field_u64(&bits_name, value.to_bits())
+        self.field(name, &Json::f64(value));
+        self.field_u64(&format!("{name}_bits"), value.to_bits())
     }
 
     fn finish(mut self) -> String {
         self.line.push('}');
         self.line
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -302,12 +280,19 @@ mod tests {
 
     #[test]
     fn float_decimal_form_round_trips_exactly() {
-        // Rust's {:?} for f64 is the shortest decimal that parses back to
-        // the identical bits — the property the bit-exact CI check leans on.
+        // The decimal field is the shortest text that parses back to the
+        // identical bits — the property the bit-exact CI check leans on.
+        let sink = Arc::new(BufferSink::bounded(8));
+        let tracer = Tracer::to_sink(sink.clone());
         for v in [0.0, 1.5, 0.1, 1.0 / 3.0, 6.241509e-3, f64::MIN_POSITIVE] {
-            let text = format!("{v:?}");
-            let back: f64 = text.parse().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+            tracer.emit("x", |e| {
+                e.field_f64_bits("v", v);
+            });
+            let line = sink.lines().pop().unwrap();
+            let event = Json::parse(&line).unwrap();
+            let back = event.get("v").and_then(Json::as_f64).unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{line}");
+            assert_eq!(event.get("v"), Some(&Json::f64(v)), "{line}");
         }
     }
 

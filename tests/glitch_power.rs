@@ -133,12 +133,8 @@ fn unit_delay_breakdown_decomposes_power_into_functional_plus_glitch() {
             );
         }
     }
-
-    // The JSON export carries the decomposition for machine consumers (CI
-    // asserts the same identity on the s1494 export).
-    let json = breakdown.to_json();
-    assert!(json.contains("\"total_glitch_power_w\""));
-    assert!(json.contains("\"functional_power_w\""));
+    // The `dipe --json` export of the decomposition is checked where it is
+    // built: `crates/cli/tests/cli_smoke.rs`.
 }
 
 /// The glitch component responds to the delay model: more path imbalance
