@@ -18,8 +18,9 @@
 //! `--delay-model` selects the gate delays of the measurement backend
 //! (`zero`, `unit[:<ps>]`, `fanout` — the default — or `random:<seed>`);
 //! decorrelation cycles always run the fast compiled zero-delay path
-//! regardless. `--measure-mode` picks the backend those delays run on: the
-//! scalar event wheel, the 64-lane time-sliced word backend, or `auto`
+//! regardless. A single run measures each sample on the scalar event wheel;
+//! `--measure-mode` picks the backend of `--lanes` replication: the 64-lane
+//! time-sliced word backend, the event wheel per sampling lane, or `auto`
 //! (the default — time-sliced whenever the annotation is slot-representable,
 //! bit-identical either way). Glitch power (transitions that exist only
 //! because of unequal path delays) is decomposed per net and reported in the
@@ -141,13 +142,16 @@ simulation:
                           fanout       200 ps + 80 ps per fanout (the default)
                           random:SEED  per-gate uniform 60-340 ps from SEED
   --measure-mode M        backend that runs the measured (glitch-counting)
-                          cycles; all three report bit-identical numbers:
+                          cycles of --lanes replication; all three report
+                          bit-identical numbers (single runs always measure
+                          on the scalar event-driven wheel):
                           auto         time-sliced when the delay annotation is
                                        slot-representable, event-driven
                                        otherwise (the default)
-                          event-driven scalar timing-wheel reference backend
-                          time-sliced  64-lane delay-slot backend (errors when
-                                       the annotation is not representable)
+                          event-driven scalar timing wheel per sampling lane
+                          time-sliced  64-lane delay-slot backend (requires
+                                       --lanes; errors when the annotation
+                                       is not representable)
   --shards N              worker shards the sampling phase fans out to
                           (default: the available parallelism; 1 disables)
   --workers HOSTS         comma-separated `host:port` list of dipe-serve
@@ -329,6 +333,13 @@ fn parse_options() -> Result<Options, String> {
     if options.lanes > 1 && options.trace.is_some() {
         return Err("--trace is not implemented for replicated (--lanes) runs".to_string());
     }
+    if options.lanes == 1 && options.measure_mode == MeasureMode::TimeSliced {
+        return Err(
+            "--measure-mode time-sliced applies to --lanes replication; a single run \
+             measures on the event-driven wheel"
+                .to_string(),
+        );
+    }
     if let Some(shards) = options.shards {
         if !(1..=256).contains(&shards) {
             return Err("--shards must be in 1..=256".to_string());
@@ -349,8 +360,21 @@ fn parse_options() -> Result<Options, String> {
             );
         }
     }
-    // Validate the per-node policy spec here so a bad flag yields a clean
-    // usage error instead of the policy constructor's panic.
+    // Validate the accuracy specs here so a bad flag yields a clean usage
+    // error instead of a configuration error (total power) or the policy
+    // constructor's panic (per node).
+    if !(options.relative_error > 0.0 && options.relative_error < 1.0) {
+        return Err(format!(
+            "--error must be in (0, 1), got {}",
+            options.relative_error
+        ));
+    }
+    if !(options.confidence > 0.0 && options.confidence < 1.0) {
+        return Err(format!(
+            "--confidence must be in (0, 1), got {}",
+            options.confidence
+        ));
+    }
     if !(options.node_relative_error > 0.0 && options.node_relative_error < 1.0) {
         return Err(format!(
             "--node-error must be in (0, 1), got {}",
@@ -366,7 +390,7 @@ fn parse_options() -> Result<Options, String> {
     if options.top_k < 1 {
         return Err("--top-k must be at least 1".to_string());
     }
-    if options.activity_floor <= 0.0 {
+    if options.activity_floor.is_nan() || options.activity_floor <= 0.0 {
         return Err(format!(
             "--activity-floor must be positive, got {}",
             options.activity_floor

@@ -115,6 +115,11 @@ fn bad_flag_values_are_rejected() {
     assert_usage_error(&["s27", "--node-confidence", "0"]);
     assert_usage_error(&["s27", "--top-k", "0"]);
     assert_usage_error(&["s27", "--activity-floor", "-1"]);
+    assert_usage_error(&["s27", "--activity-floor", "nan"]);
+    assert_usage_error(&["s27", "--error", "0"]);
+    assert_usage_error(&["s27", "--error", "1.5"]);
+    assert_usage_error(&["s27", "--error", "nan"]);
+    assert_usage_error(&["s27", "--confidence", "1"]);
     assert_usage_error(&["s27", "--format", "verilog"]);
     assert_usage_error(&["s27", "--format"]); // value missing
     assert_usage_error(&["s27", "--eval-mode", "quantum"]);
@@ -543,6 +548,31 @@ fn replicated_lanes_compose_with_delay_models_and_print_glitch_columns() {
             .collect()
     };
     assert_eq!(numbers(&stdout), numbers(&forced_stdout));
+}
+
+#[test]
+fn time_sliced_measurement_without_lanes_is_a_one_line_usage_error() {
+    // A single run measures each sample on the event-driven wheel, so it
+    // cannot honour a forced time-sliced backend: the error names `--lanes`.
+    let output = dipe(&["s27", "--quiet", "--measure-mode", "time-sliced"]);
+    assert_eq!(output.status.code(), Some(2), "time-sliced without --lanes");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(
+        stderr.trim().lines().count(),
+        1,
+        "diagnostic must be one line:\n{stderr}"
+    );
+    assert!(stderr.contains("--lanes"), "stderr: {stderr}");
+    // `auto` and `event-driven` stay accepted on a single run, and
+    // `time-sliced` on a lane group.
+    for (mode, lanes) in [("auto", "1"), ("event-driven", "1"), ("time-sliced", "2")] {
+        let output = dipe(&["s27", "--quiet", "--lanes", lanes, "--measure-mode", mode]);
+        assert!(
+            output.status.success(),
+            "--measure-mode {mode} --lanes {lanes} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
 }
 
 #[test]

@@ -7,12 +7,12 @@
 //! deterministically), the cycle accounting, the selected independence
 //! interval with its trial trace, and the pooled power sample stored as raw
 //! IEEE-754 bits ([`seqstats::PooledSampleState`]). The measurement
-//! simulators — the scalar event-driven wheel and the lane-parallel
-//! time-sliced backend alike — carry no state across cycles, so nothing of
-//! them needs to be captured: checkpoints are backend-independent, and a
-//! session may even be checkpointed under one
-//! [`MeasureMode`](crate::MeasureMode) and resumed under the other without
-//! disturbing a single bit of the estimate.
+//! simulator — the event-driven wheel every session sample measures on,
+//! whatever the lane-group [`MeasureMode`](crate::MeasureMode) says —
+//! carries no state across cycles, so nothing of it needs to be captured.
+//! Neither does the stopping rule's fold of the sample's running moments: a
+//! resumed session folds the restored sample once, at its first block
+//! boundary.
 //!
 //! The contract — asserted by tests in [`crate::estimator`] and relied on by
 //! the `dipe-serve` checkpoint/resume RPCs — is that a session restored from

@@ -57,9 +57,11 @@ impl std::fmt::Display for EvalMode {
 }
 
 /// Which delay-aware backend executes the measured (glitch-counting)
-/// cycles.
+/// cycles of a lane group ([`crate::run_replicated_dipe`], `--lanes`).
 ///
-/// The two concrete backends are bit-identical wherever both apply — the
+/// Scalar, sharded and remote runs ignore it: a scalar sample is one
+/// replication, so it always measures on [`logicsim::EventDrivenSimulator`].
+/// The two lane-group backends are bit-identical wherever both apply — the
 /// per-net `GlitchActivity` counts and hence every power figure match bit
 /// for bit — so [`Auto`](MeasureMode::Auto) switching is numerically
 /// invisible.
@@ -71,9 +73,10 @@ pub enum MeasureMode {
     /// [`logicsim::EventDrivenSimulator`]. Default.
     #[default]
     Auto,
-    /// Force the scalar event-driven timing wheel.
+    /// Force the scalar event-driven timing wheel, one cycle per sampling
+    /// lane.
     EventDriven,
-    /// Force the 64-lane time-sliced backend; estimation fails with
+    /// Force the 64-lane time-sliced backend; a lane group fails with
     /// [`DipeError::InvalidConfig`] when the annotation is not
     /// slot-representable.
     TimeSliced,

@@ -221,8 +221,10 @@ pub struct SimProfile {
     /// Tiles settled by the partitioned zero-delay backend (0 under the
     /// compiled backend).
     pub tiles_settled: u64,
-    /// Measured cycles run on the time-sliced lane-parallel backend (0
-    /// under the event-driven backend).
+    /// Measured cycles run on the time-sliced lane-parallel backend. A
+    /// [`PowerSampler`](crate::sampler::PowerSampler) measures on the
+    /// event-driven wheel, so this and the other `time_sliced_*` counters
+    /// read 0 in every session's profile.
     #[serde(default)]
     pub time_sliced_cycles: u64,
     /// Word-wide (64-lane) gate evaluations by the time-sliced backend.

@@ -543,6 +543,26 @@ mod tests {
     }
 
     #[test]
+    fn forced_time_sliced_lanes_reject_unrepresentable_annotations() {
+        // Random delays have gcd ~1 over a 60–340 ps range: not
+        // slot-representable, so a forced time-sliced lane group fails with
+        // the fallback named rather than silently measuring on the wheel.
+        let circuit = iscas89::load("s27").unwrap();
+        let config = DipeConfig::default()
+            .with_seed(1)
+            .with_delay_model(logicsim::DelayModel::random(42))
+            .with_measure_mode(MeasureMode::TimeSliced);
+        match run_replicated_dipe(&circuit, &config, &InputModel::uniform(), &[0, 1]) {
+            Err(DipeError::InvalidConfig { message }) => {
+                assert!(message.contains("time-sliced"), "{message}");
+                assert!(message.contains("event-driven"), "{message}");
+            }
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("expected InvalidConfig, the lane group ran"),
+        }
+    }
+
+    #[test]
     fn lane_runs_stay_bit_exact_with_scalar_sessions_under_unit_delay() {
         // The word-parallel measurement path must reproduce the scalar
         // DipeEstimator sessions bit for bit, like the zero-delay path does.

@@ -883,7 +883,7 @@ mod tests {
                 .unwrap();
         }
         workers.push(first);
-        let rule = StoppingRule::new(&config());
+        let mut rule = StoppingRule::new(&config());
         let tracer = telemetry::Tracer::disabled();
         let decision = loop {
             before_round(merger.rounds(), &mut workers, &mut merger);

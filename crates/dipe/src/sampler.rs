@@ -3,22 +3,21 @@
 //! During the independence interval the circuit only needs to be *advanced*:
 //! a zero-delay simulation of the next-state logic is enough and no power is
 //! recorded. At a sampling cycle the captured state and input pattern are
-//! handed to the general-delay simulator — the event-driven timing wheel or
-//! the time-sliced lane-parallel backend, selected by
-//! [`MeasureMode`] — and the dissipated power of that one cycle is computed
-//! from the observed transitions via Eq. (1). The two measurement backends
-//! report bit-identical counts, so the selection never changes a result.
-//! The [`PowerSampler`] encapsulates this machinery and keeps the cycle
-//! accounting that the efficiency comparisons need.
+//! handed to the general-delay simulator — the event-driven timing wheel,
+//! [`EventDrivenSimulator`] — and the dissipated power of that one cycle is
+//! computed from the observed transitions via Eq. (1). A scalar sample is
+//! one replication, so it always measures on the wheel: scalar, sharded and
+//! remote runs ignore [`MeasureMode`](crate::MeasureMode), which selects the
+//! backend of lane groups only (`crate::lanes`), where the 64 lanes of the
+//! time-sliced backend carry distinct samples. The [`PowerSampler`]
+//! encapsulates this machinery and keeps the cycle accounting that the
+//! efficiency comparisons need.
 
-use logicsim::{
-    broadcast, CompiledSimulator, EventDrivenSimulator, GlitchActivity, PartitionedSimulator,
-    TimeSlicedSimulator,
-};
+use logicsim::{CompiledSimulator, EventDrivenSimulator, GlitchActivity, PartitionedSimulator};
 use netlist::Circuit;
 use power::PowerCalculator;
 
-use crate::config::{DipeConfig, EvalMode, MeasureMode};
+use crate::config::{DipeConfig, EvalMode};
 use crate::error::DipeError;
 use crate::input::{InputModel, InputStream};
 
@@ -110,78 +109,6 @@ impl<'c> ZeroSim<'c> {
     }
 }
 
-/// The delay-aware backend the measured cycles run on, selected by
-/// [`MeasureMode`]. Both variants report bit-identical per-net glitch
-/// counts, so the choice never changes a power figure — only throughput.
-/// The scalar sampler drives the time-sliced backend in broadcast mode
-/// (all 64 lanes carry the same replication) and reads lane 0; the
-/// replicated lane runner (`crate::lanes`) is where the 64 lanes carry
-/// distinct samples.
-#[derive(Debug)]
-enum MeasureSim<'c> {
-    EventDriven(EventDrivenSimulator<'c>),
-    TimeSliced {
-        sim: TimeSlicedSimulator<'c>,
-        /// Reused broadcast buffers (one word per net / per primary input).
-        prev_words: Vec<u64>,
-        input_words: Vec<u64>,
-        /// Reused lane-0 projection handed to observers.
-        scratch: GlitchActivity,
-    },
-}
-
-impl<'c> MeasureSim<'c> {
-    fn with_delays(
-        circuit: &'c Circuit,
-        mode: MeasureMode,
-        model: logicsim::DelayModel,
-        delays: &netlist::GateDelays,
-    ) -> Result<Self, DipeError> {
-        let time_sliced = |sim: TimeSlicedSimulator<'c>| MeasureSim::TimeSliced {
-            sim,
-            prev_words: vec![0; circuit.num_nets()],
-            input_words: vec![0; circuit.num_primary_inputs()],
-            scratch: GlitchActivity::zeroed(circuit.num_nets()),
-        };
-        match mode {
-            MeasureMode::EventDriven => Ok(MeasureSim::EventDriven(
-                EventDrivenSimulator::with_delays(circuit, model, delays),
-            )),
-            MeasureMode::TimeSliced => TimeSlicedSimulator::with_delays(circuit, model, delays)
-                .map(time_sliced)
-                .map_err(|rejection| DipeError::InvalidConfig {
-                    message: format!(
-                        "measure mode `time-sliced` cannot run delay model `{}`: {rejection}; \
-                         use `auto` or `event-driven`",
-                        model.id()
-                    ),
-                }),
-            MeasureMode::Auto => Ok(
-                match TimeSlicedSimulator::with_delays(circuit, model, delays) {
-                    Ok(sim) => time_sliced(sim),
-                    Err(_) => MeasureSim::EventDriven(EventDrivenSimulator::with_delays(
-                        circuit, model, delays,
-                    )),
-                },
-            ),
-        }
-    }
-
-    fn delay_model(&self) -> logicsim::DelayModel {
-        match self {
-            MeasureSim::EventDriven(sim) => sim.delay_model(),
-            MeasureSim::TimeSliced { sim, .. } => sim.delay_model(),
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        match self {
-            MeasureSim::EventDriven(_) => "event-driven",
-            MeasureSim::TimeSliced { .. } => "time-sliced",
-        }
-    }
-}
-
 /// Generates per-cycle power observations from a circuit under an input
 /// model, using the two-phase zero-delay / general-delay scheme.
 ///
@@ -196,7 +123,7 @@ impl<'c> MeasureSim<'c> {
 pub struct PowerSampler<'c> {
     circuit: &'c Circuit,
     zero: ZeroSim<'c>,
-    full: MeasureSim<'c>,
+    full: EventDrivenSimulator<'c>,
     calculator: PowerCalculator,
     stream: InputStream,
     counts: CycleCounts,
@@ -230,12 +157,7 @@ impl<'c> PowerSampler<'c> {
         Ok(PowerSampler {
             circuit,
             zero: ZeroSim::new(circuit, config.eval_mode),
-            full: MeasureSim::with_delays(
-                circuit,
-                config.measure_mode,
-                config.delay_model,
-                &delays,
-            )?,
+            full: EventDrivenSimulator::with_delays(circuit, config.delay_model, &delays),
             calculator,
             stream,
             counts: CycleCounts::default(),
@@ -273,12 +195,7 @@ impl<'c> PowerSampler<'c> {
         Ok(PowerSampler {
             circuit,
             zero: ZeroSim::with_program(circuit, program, config.eval_mode),
-            full: MeasureSim::with_delays(
-                circuit,
-                config.measure_mode,
-                config.delay_model,
-                delays,
-            )?,
+            full: EventDrivenSimulator::with_delays(circuit, config.delay_model, delays),
             calculator,
             stream,
             counts: CycleCounts::default(),
@@ -303,44 +220,26 @@ impl<'c> PowerSampler<'c> {
     }
 
     /// The simulator profiling counters accumulated by this sampler's
-    /// backends so far — the measurement backend's counters plus the
+    /// backends so far — the event-driven wheel's counters plus the
     /// partitioned zero-delay backend's settle-pass count, flattened into
-    /// one [`SimProfile`](crate::estimate::SimProfile) record.
+    /// one [`SimProfile`](crate::estimate::SimProfile) record. Its
+    /// `time_sliced_*` fields are 0: only lane groups measure time-sliced.
     pub fn sim_profile(&self) -> crate::estimate::SimProfile {
-        let mut profile = crate::estimate::SimProfile {
+        let counters = self.full.counters();
+        crate::estimate::SimProfile {
+            events_scheduled: counters.events_scheduled,
+            events_cancelled: counters.events_cancelled,
+            wheel_revolutions: counters.wheel_revolutions,
+            inline_evals: counters.inline_evals,
+            gather_evals: counters.gather_evals,
+            levelized_cycles: counters.levelized_cycles,
+            wheel_cycles: counters.wheel_cycles,
             tiles_settled: match &self.zero {
                 ZeroSim::Compiled(_) => 0,
                 ZeroSim::Partitioned(sim) => sim.tiles_settled(),
             },
             ..Default::default()
-        };
-        match &self.full {
-            MeasureSim::EventDriven(sim) => {
-                let counters = sim.counters();
-                profile.events_scheduled = counters.events_scheduled;
-                profile.events_cancelled = counters.events_cancelled;
-                profile.wheel_revolutions = counters.wheel_revolutions;
-                profile.inline_evals = counters.inline_evals;
-                profile.gather_evals = counters.gather_evals;
-                profile.levelized_cycles = counters.levelized_cycles;
-                profile.wheel_cycles = counters.wheel_cycles;
-            }
-            MeasureSim::TimeSliced { sim, .. } => {
-                let counters = sim.counters();
-                profile.time_sliced_cycles = counters.slot_cycles + counters.levelized_cycles;
-                profile.time_sliced_word_evals = counters.word_evals;
-                profile.time_sliced_lane_events = counters.lane_events_scheduled;
-                profile.time_sliced_lane_cancellations = counters.lane_events_cancelled;
-            }
         }
-        profile
-    }
-
-    /// Which delay-aware backend the measured cycles run on:
-    /// `"event-driven"` or `"time-sliced"` (after [`MeasureMode::Auto`]
-    /// resolution).
-    pub fn measurement_backend(&self) -> &'static str {
-        self.full.backend()
     }
 
     /// Advances the circuit by `cycles` clock cycles with zero-delay
@@ -383,47 +282,13 @@ impl<'c> PowerSampler<'c> {
     {
         self.stream.next_pattern_into(&mut self.pattern);
         self.prev.copy_from_slice(self.zero.values());
-        let power_w = match &mut self.full {
-            MeasureSim::EventDriven(sim) => {
-                let activity = sim.simulate_cycle(&self.prev, &self.pattern);
-                observe(activity);
-                // Eq. (1) charges every transition, glitches included.
-                self.calculator.cycle_power_w(activity.total())
-            }
-            MeasureSim::TimeSliced {
-                sim,
-                prev_words,
-                input_words,
-                scratch,
-            } => {
-                // Broadcast the single replication to all lanes and read
-                // lane 0 back: the projected counts — and therefore the
-                // power — are bit-identical to the event-driven backend's.
-                for (word, &bit) in prev_words.iter_mut().zip(&self.prev) {
-                    *word = broadcast(bit);
-                }
-                for (word, &bit) in input_words.iter_mut().zip(&self.pattern) {
-                    *word = broadcast(bit);
-                }
-                let activity = sim.simulate_cycle(prev_words, input_words);
-                activity.lane_activity_into(0, scratch);
-                observe(scratch);
-                self.calculator.cycle_power_w(scratch.total())
-            }
-        };
+        let activity = self.full.simulate_cycle(&self.prev, &self.pattern);
+        observe(activity);
+        // Eq. (1) charges every transition, glitches included.
+        let power_w = self.calculator.cycle_power_w(activity.total());
         // Keep the cheap simulator's state in sync (same stable values).
         self.zero.step_state_only(&self.pattern);
-        #[cfg(debug_assertions)]
-        match &self.full {
-            MeasureSim::EventDriven(sim) => {
-                debug_assert_eq!(sim.stable_values(), self.zero.values());
-            }
-            MeasureSim::TimeSliced { sim, .. } => {
-                for (net, &word) in sim.settled_words().iter().enumerate() {
-                    debug_assert_eq!(word & 1 != 0, self.zero.values()[net], "net {net}");
-                }
-            }
-        }
+        debug_assert_eq!(self.full.stable_values(), self.zero.values());
         self.counts.measured_cycles += 1;
         power_w
     }
@@ -514,6 +379,7 @@ impl<'c> PowerSampler<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MeasureMode;
     use netlist::iscas89;
 
     fn sampler_for(name: &str, seed: u64) -> (netlist::Circuit, DipeConfig) {
@@ -633,68 +499,24 @@ mod tests {
     }
 
     #[test]
-    fn measure_modes_are_bit_identical_where_both_apply() {
-        for (name, model) in [
-            ("s27", logicsim::DelayModel::Unit(100)),
-            ("s298", logicsim::DelayModel::Zero),
-            ("s298", logicsim::DelayModel::default()),
-        ] {
-            let c = iscas89::load(name).unwrap();
-            let base = DipeConfig::default().with_seed(13).with_delay_model(model);
-            let mut event = PowerSampler::new(
-                &c,
-                &base.clone().with_measure_mode(MeasureMode::EventDriven),
-                &InputModel::uniform(),
-                0,
-            )
-            .unwrap();
-            let mut sliced = PowerSampler::new(
-                &c,
-                &base.clone().with_measure_mode(MeasureMode::TimeSliced),
-                &InputModel::uniform(),
-                0,
-            )
-            .unwrap();
-            assert_eq!(event.measurement_backend(), "event-driven");
-            assert_eq!(sliced.measurement_backend(), "time-sliced");
-            event.advance(32);
-            sliced.advance(32);
+    fn scalar_samples_measure_on_the_event_driven_wheel() {
+        // Unit delay is slot-representable, yet a scalar sample is one
+        // replication: it measures on the wheel under the default mode, and
+        // a forced time-sliced mode (the lane groups' backend) is ignored.
+        let (c, config) = sampler_for("s27", 1);
+        let unit = config.with_delay_model(logicsim::DelayModel::Unit(100));
+        for mode in [MeasureMode::default(), MeasureMode::TimeSliced] {
+            let config = unit.clone().with_measure_mode(mode);
+            let mut s = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            s.advance(16);
+            let _ = s.collect_sequence(20, 1);
+            let profile = s.sim_profile();
+            assert_eq!(profile.time_sliced_cycles, 0, "{mode}");
             assert_eq!(
-                event.collect_sequence(40, 2),
-                sliced.collect_sequence(40, 2),
-                "{name} under {model:?}: measurement backends diverged"
+                profile.levelized_cycles + profile.wheel_cycles,
+                20,
+                "{mode}"
             );
-            assert_eq!(event.cycle_counts(), sliced.cycle_counts());
-        }
-    }
-
-    #[test]
-    fn auto_mode_selects_by_slot_representability() {
-        let (c, config) = sampler_for("s27", 1);
-        let unit = config
-            .clone()
-            .with_delay_model(logicsim::DelayModel::Unit(100));
-        let s = PowerSampler::new(&c, &unit, &InputModel::uniform(), 0).unwrap();
-        assert_eq!(s.measurement_backend(), "time-sliced");
-        // Random delays have gcd ~1 over a 60–340 ps range: not
-        // slot-representable, so auto falls back to the scalar wheel.
-        let random = config.with_delay_model(logicsim::DelayModel::random(42));
-        let s = PowerSampler::new(&c, &random, &InputModel::uniform(), 0).unwrap();
-        assert_eq!(s.measurement_backend(), "event-driven");
-    }
-
-    #[test]
-    fn forced_time_sliced_mode_rejects_unrepresentable_annotations() {
-        let (c, config) = sampler_for("s27", 1);
-        let config = config
-            .with_delay_model(logicsim::DelayModel::random(42))
-            .with_measure_mode(MeasureMode::TimeSliced);
-        match PowerSampler::new(&c, &config, &InputModel::uniform(), 0) {
-            Err(DipeError::InvalidConfig { message }) => {
-                assert!(message.contains("time-sliced"), "{message}");
-                assert!(message.contains("event-driven"), "{message}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

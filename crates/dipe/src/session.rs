@@ -30,8 +30,8 @@ use std::time::Instant;
 
 use logicsim::GlitchActivity;
 use seqstats::{
-    MomentAccumulatorState, NodeStoppingDecision, PooledSampleState, StoppingCriterion,
-    StoppingDecision,
+    MomentAccumulatorState, NodeStoppingDecision, PooledSampleState, SampleMoments,
+    StoppingCriterion, StoppingDecision,
 };
 use telemetry::Tracer;
 
@@ -153,8 +153,15 @@ pub enum RoundVerdict {
 /// the `max_samples` budget. Every DIPE-flow session, the remote
 /// coordinator, the lane runner and the fixed warm-up baseline decide
 /// through it, so they stop on the same sample for the same pooled sample.
+///
+/// A rule watches one append-only sample — an inline session's, a merger's
+/// pooled one or one lane's — and folds each of its samples once into
+/// running moments, so the normal and DKW criteria decide in O(1) per block
+/// boundary. A rule opened on a restored sample folds it whole at its first
+/// boundary.
 pub struct StoppingRule {
     criterion: Box<dyn StoppingCriterion>,
+    moments: SampleMoments,
     block_size: usize,
     max_samples: usize,
 }
@@ -204,6 +211,7 @@ impl StoppingRule {
     pub fn new(config: &DipeConfig) -> Self {
         StoppingRule {
             criterion: config.build_criterion(),
+            moments: SampleMoments::new(),
             block_size: config.block_size,
             max_samples: config.max_samples,
         }
@@ -221,15 +229,16 @@ impl StoppingRule {
     }
 
     /// Evaluates the pooled sample and the fold's pooled payload at a block
-    /// boundary, traced as `stopping_eval`.
+    /// boundary, traced as `stopping_eval`. `sample` extends the sample of
+    /// the rule's previous decision; only its new suffix is folded.
     pub fn decide<F: ShardFold>(
-        &self,
+        &mut self,
         sample: &[f64],
         fold: &F,
         pooled: &F::Block,
         tracer: &Tracer,
     ) -> Decision {
-        let total = self.criterion.evaluate(sample);
+        let total = self.moments.evaluate(&*self.criterion, sample);
         let node = fold.node_decision(pooled);
         let node_decides = node.is_some() && fold.node_decides();
         let satisfied = match &node {
@@ -274,7 +283,7 @@ pub fn consume_rounds<F: ShardFold>(
     merger: &mut StreamMerger<F::Block>,
     fold: &F,
     pooled: &mut F::Block,
-    rule: &StoppingRule,
+    rule: &mut StoppingRule,
     tracer: &Tracer,
     mut on_round: impl FnMut(u64),
 ) -> Option<Decision> {
@@ -392,7 +401,7 @@ impl<F: ShardFold> Sampling<'_, F> {
     fn draw_inline(
         &mut self,
         fold: &F,
-        rule: &StoppingRule,
+        rule: &mut StoppingRule,
         deadline: u64,
         tracer: &Tracer,
     ) -> Option<Decision> {
@@ -618,13 +627,19 @@ impl<F: ShardFold> EstimationSession for Session<'_, F> {
         };
         let outcome = match &self.source {
             Source::Inline => Ok(sampling
-                .draw_inline(&self.fold, &self.rule, deadline, &self.tracer)
+                .draw_inline(&self.fold, &mut self.rule, deadline, &self.tracer)
                 .map(|decision| {
                     let sampler = &sampling.sampler;
                     (decision, sampler.cycle_counts(), sampler.sim_profile())
                 })),
             Source::Threads(threads) => threads
-                .run(sampling, &self.config, &self.fold, &self.rule, &self.tracer)
+                .run(
+                    sampling,
+                    &self.config,
+                    &self.fold,
+                    &mut self.rule,
+                    &self.tracer,
+                )
                 .map(Some),
         };
         let (decision, cycle_counts, sim_profile) = match outcome {
@@ -667,5 +682,39 @@ impl<F: ShardFold> EstimationSession for Session<'_, F> {
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deciding_at_every_boundary_is_linear_in_the_pool() {
+        // A 400k-sample pool decided on at every 32-sample boundary: a rule
+        // that refolds the pool per decision needs ~2.5·10⁹ Welford updates
+        // (over 20 s even in release); folding each sample once needs 400k.
+        let mut config = DipeConfig::default().with_accuracy(0.0001, 0.99);
+        config.block_size = 32;
+        config.max_samples = 400_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut rule = StoppingRule::new(&config);
+            let tracer = Tracer::disabled();
+            let mut pool = Vec::with_capacity(config.max_samples);
+            let mut last = None;
+            for i in 0..config.max_samples as u64 {
+                pool.push(1.0 + (i.wrapping_mul(2_654_435_761) % 1000) as f64 * 1e-3);
+                if rule.at_boundary(pool.len()) {
+                    last = Some(rule.decide(&pool, &NoFold, &(), &tracer));
+                }
+            }
+            let last = last.map(|decision| (decision.total.sample_size, decision.verdict));
+            tx.send(last).expect("the test waits for the last decision");
+        });
+        let last = rx.recv_timeout(std::time::Duration::from_secs(5));
+        let last = last.expect("12.5k decisions on a 400k pool must finish well within 5 s");
+        worker.join().expect("the rule never panics");
+        assert_eq!(last, Some((400_000, RoundVerdict::Exhausted)));
     }
 }

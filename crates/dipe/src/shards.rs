@@ -134,7 +134,7 @@ impl ShardThreads {
         sampling: &mut Sampling<'_, F>,
         config: &DipeConfig,
         fold: &F,
-        rule: &StoppingRule,
+        rule: &mut StoppingRule,
         tracer: &telemetry::Tracer,
     ) -> Result<(Decision, CycleCounts, SimProfile), DipeError> {
         let Sampling {

@@ -50,5 +50,6 @@ pub use node_stopping::{NodeStoppingDecision, NodeStoppingPolicy};
 pub use runs_test::{RunsTest, RunsTestOutcome};
 pub use snapshot::{MomentAccumulatorState, PooledSampleState};
 pub use stopping::{
-    DkwCriterion, NormalCriterion, OrderStatisticCriterion, StoppingCriterion, StoppingDecision,
+    DkwCriterion, NormalCriterion, OrderStatisticCriterion, SampleMoments, StoppingCriterion,
+    StoppingDecision,
 };

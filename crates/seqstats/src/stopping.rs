@@ -20,7 +20,24 @@
 //!   the Dvoretzky–Kiefer–Wolfowitz bound on the empirical CDF.
 //!
 //! All criteria implement [`StoppingCriterion`], so the estimator is generic
-//! over the choice.
+//! over the choice. Each decides from the sample's running moments
+//! ([`RunningStats`]) through [`StoppingCriterion::decide`], which is the
+//! one decision path: [`StoppingCriterion::evaluate`] folds a whole sample
+//! and decides, and [`SampleMoments`] folds a growing sample once,
+//! observation by observation, for a sequential rule that decides at every
+//! block boundary.
+//!
+//! Cost per evaluation on an `n`-observation sample, once it is folded:
+//!
+//! * [`NormalCriterion`] and [`DkwCriterion`] — O(1): the mean, standard
+//!   error, minimum and maximum are running moments;
+//! * [`OrderStatisticCriterion`] — O(n): it selects the sample median and
+//!   two order statistics from the sample itself (linear-time selection on
+//!   a scratch copy), so a rule evaluated at every block boundary costs
+//!   O(n²/block) over a run under this criterion.
+//!
+//! Folding costs O(1) per new observation under [`SampleMoments`];
+//! [`StoppingCriterion::evaluate`] refolds its whole slice, O(n).
 
 use crate::descriptive::{self, RunningStats};
 use crate::normal;
@@ -67,8 +84,89 @@ pub trait StoppingCriterion {
     /// The target confidence level `1 − δ`.
     fn confidence(&self) -> f64;
 
-    /// Evaluates the criterion on the sample collected so far.
-    fn evaluate(&self, sample: &[f64]) -> StoppingDecision;
+    /// Decides on `sample`, whose running moments are `moments`: the same
+    /// observations, folded in sample order.
+    fn decide(&self, moments: &RunningStats, sample: &[f64]) -> StoppingDecision;
+
+    /// Evaluates the criterion on the sample collected so far: folds the
+    /// sample's moments and [decides](Self::decide) from them.
+    fn evaluate(&self, sample: &[f64]) -> StoppingDecision {
+        let moments: RunningStats = sample.iter().copied().collect();
+        self.decide(&moments, sample)
+    }
+}
+
+/// The running moments of one append-only sample, each observation folded
+/// once.
+///
+/// A sequential rule evaluates its criterion at every block boundary of a
+/// growing sample. [`StoppingCriterion::evaluate`] would refold the whole
+/// sample each time, O(n²/block) over a run; this fold keeps the Welford
+/// state, whose count is the number of observations already folded, and
+/// folds only the ones appended since the previous evaluation. Welford over
+/// the same prefix in the same order is the same arithmetic whether it runs
+/// in one pass or in pieces, so each decision is bit-identical to
+/// `evaluate` on the same sample.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SampleMoments {
+    folded: RunningStats,
+}
+
+impl SampleMoments {
+    /// An empty fold. A sample restored from a checkpoint is folded whole at
+    /// its first evaluation.
+    pub fn new() -> Self {
+        SampleMoments::default()
+    }
+
+    /// Folds the observations of `sample` past those already folded, then
+    /// [decides](StoppingCriterion::decide) on the whole sample.
+    ///
+    /// `sample` must extend the sample of the previous call: it may grow,
+    /// but never shrink or change its folded prefix.
+    pub fn evaluate<C: StoppingCriterion + ?Sized>(
+        &mut self,
+        criterion: &C,
+        sample: &[f64],
+    ) -> StoppingDecision {
+        let folded = self.folded.count() as usize;
+        debug_assert!(
+            sample.len() >= folded,
+            "an append-only sample shrank from {folded} to {} observations",
+            sample.len()
+        );
+        self.folded.extend(sample[folded..].iter().copied());
+        criterion.decide(&self.folded, sample)
+    }
+}
+
+/// Every criterion's verdict from its point estimate: before `min_samples`
+/// observations, or while the estimate is not positive, the relative
+/// half-width is undefined (`∞`) and sampling goes on; from then on the
+/// criterion is met once `half_width()`, relative to the estimate, is below
+/// `relative_error`.
+fn verdict(
+    relative_error: f64,
+    min_samples: usize,
+    sample_size: usize,
+    estimate: f64,
+    half_width: impl FnOnce() -> f64,
+) -> StoppingDecision {
+    if sample_size < min_samples || estimate <= 0.0 {
+        return StoppingDecision {
+            satisfied: false,
+            estimate,
+            relative_half_width: f64::INFINITY,
+            sample_size,
+        };
+    }
+    let relative = half_width() / estimate;
+    StoppingDecision {
+        satisfied: relative < relative_error,
+        estimate,
+        relative_half_width: relative,
+        sample_size,
+    }
 }
 
 fn validate_spec(relative_error: f64, confidence: f64, min_samples: usize) {
@@ -142,27 +240,15 @@ impl StoppingCriterion for NormalCriterion {
         self.confidence
     }
 
-    fn evaluate(&self, sample: &[f64]) -> StoppingDecision {
-        let stats: RunningStats = sample.iter().copied().collect();
-        let n = stats.count() as usize;
-        let estimate = stats.mean();
-        if n < self.min_samples || estimate <= 0.0 {
-            return StoppingDecision {
-                satisfied: false,
-                estimate,
-                relative_half_width: f64::INFINITY,
-                sample_size: n,
-            };
-        }
-        let z = normal::quantile(0.5 + self.confidence / 2.0);
-        let half_width = z * stats.std_error();
-        let relative = half_width / estimate;
-        StoppingDecision {
-            satisfied: relative < self.relative_error,
-            estimate,
-            relative_half_width: relative,
-            sample_size: n,
-        }
+    fn decide(&self, moments: &RunningStats, _sample: &[f64]) -> StoppingDecision {
+        let n = moments.count() as usize;
+        verdict(
+            self.relative_error,
+            self.min_samples,
+            n,
+            moments.mean(),
+            || normal::quantile(0.5 + self.confidence / 2.0) * moments.std_error(),
+        )
     }
 }
 
@@ -219,36 +305,26 @@ impl StoppingCriterion for OrderStatisticCriterion {
         self.confidence
     }
 
-    fn evaluate(&self, sample: &[f64]) -> StoppingDecision {
-        let n = sample.len();
+    /// Selects the median and two order statistics from `sample`: O(n) per
+    /// evaluation, where the moment-based criteria are O(1).
+    fn decide(&self, moments: &RunningStats, sample: &[f64]) -> StoppingDecision {
+        let n = moments.count() as usize;
+        debug_assert_eq!(n, sample.len(), "the moments are the sample's");
         let estimate = if n == 0 {
             0.0
         } else {
             descriptive::median(sample)
         };
-        if n < self.min_samples || estimate <= 0.0 {
-            return StoppingDecision {
-                satisfied: false,
-                estimate,
-                relative_half_width: f64::INFINITY,
-                sample_size: n,
-            };
-        }
-        let z = normal::quantile(0.5 + self.confidence / 2.0);
-        let nf = n as f64;
-        let spread = z * nf.sqrt();
-        let lower_rank = (((nf - spread) / 2.0).floor().max(1.0)) as usize;
-        let upper_rank = ((((nf + spread) / 2.0).ceil() + 1.0).min(nf)) as usize;
-        let lower = descriptive::order_statistic(sample, lower_rank);
-        let upper = descriptive::order_statistic(sample, upper_rank);
-        let half_width = 0.5 * (upper - lower);
-        let relative = half_width / estimate;
-        StoppingDecision {
-            satisfied: relative < self.relative_error,
-            estimate,
-            relative_half_width: relative,
-            sample_size: n,
-        }
+        verdict(self.relative_error, self.min_samples, n, estimate, || {
+            let z = normal::quantile(0.5 + self.confidence / 2.0);
+            let nf = n as f64;
+            let spread = z * nf.sqrt();
+            let lower_rank = (((nf - spread) / 2.0).floor().max(1.0)) as usize;
+            let upper_rank = ((((nf + spread) / 2.0).ceil() + 1.0).min(nf)) as usize;
+            let lower = descriptive::order_statistic(sample, lower_rank);
+            let upper = descriptive::order_statistic(sample, upper_rank);
+            0.5 * (upper - lower)
+        })
     }
 }
 
@@ -309,27 +385,15 @@ impl StoppingCriterion for DkwCriterion {
         self.confidence
     }
 
-    fn evaluate(&self, sample: &[f64]) -> StoppingDecision {
-        let stats: RunningStats = sample.iter().copied().collect();
-        let n = stats.count() as usize;
-        let estimate = stats.mean();
-        if n < self.min_samples || estimate <= 0.0 {
-            return StoppingDecision {
-                satisfied: false,
-                estimate,
-                relative_half_width: f64::INFINITY,
-                sample_size: n,
-            };
-        }
-        let range = stats.max() - stats.min();
-        let half_width = self.band_half_width(n) * range;
-        let relative = half_width / estimate;
-        StoppingDecision {
-            satisfied: relative < self.relative_error,
-            estimate,
-            relative_half_width: relative,
-            sample_size: n,
-        }
+    fn decide(&self, moments: &RunningStats, _sample: &[f64]) -> StoppingDecision {
+        let n = moments.count() as usize;
+        verdict(
+            self.relative_error,
+            self.min_samples,
+            n,
+            moments.mean(),
+            || self.band_half_width(n) * (moments.max() - moments.min()),
+        )
     }
 }
 
@@ -527,6 +591,42 @@ mod proptests {
                 let d = crit.evaluate(&sample);
                 prop_assert!(d.satisfied, "{} not satisfied", crit.name());
                 prop_assert!(d.relative_half_width >= 0.0);
+            }
+        }
+
+        /// Folding a growing sample once decides exactly as the batch
+        /// evaluation of the same prefix, at every block boundary and for
+        /// every criterion — also for a fold that first meets a restored,
+        /// non-empty sample.
+        #[test]
+        fn incremental_fold_matches_batch_evaluation(
+            sample in collection::vec(0.1f64..4.0, 1usize..1000),
+            block in 1usize..65,
+            restored in 0usize..400,
+        ) {
+            for crit in [
+                &NormalCriterion::new(0.1, 0.95, 16) as &dyn StoppingCriterion,
+                &OrderStatisticCriterion::new(0.1, 0.95, 16),
+                &DkwCriterion::new(0.3, 0.95, 16),
+            ] {
+                for start in [0, restored.min(sample.len())] {
+                    let mut moments = SampleMoments::new();
+                    let boundaries = (block..=sample.len()).step_by(block);
+                    for end in boundaries.filter(|&end| end >= start) {
+                        let prefix = &sample[..end];
+                        let folded = moments.evaluate(crit, prefix);
+                        let batch = crit.evaluate(prefix);
+                        prop_assert_eq!(folded.estimate_bits(), batch.estimate_bits());
+                        prop_assert_eq!(
+                            folded.relative_half_width_bits(),
+                            batch.relative_half_width_bits(),
+                            "{} at {end} of block {block}", crit.name()
+                        );
+                        prop_assert_eq!(folded.satisfied, batch.satisfied);
+                        prop_assert_eq!(folded.sample_size, end);
+                        prop_assert_eq!(batch.sample_size, end);
+                    }
+                }
             }
         }
     }

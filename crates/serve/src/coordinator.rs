@@ -345,7 +345,7 @@ fn drain_locally(
     interval: usize,
     base_seed_offset: u64,
     merger: &mut StreamMerger,
-    rule: &StoppingRule,
+    rule: &mut StoppingRule,
     tracer: &telemetry::Tracer,
 ) -> Result<Decision, String> {
     let input_model = spec.parsed_input_model()?;
@@ -422,7 +422,7 @@ pub fn run_remote_total(
     let interval = selection.interval;
     let mut merger = StreamMerger::new(config.streams, sampler.snapshot());
     drop(sampler);
-    let rule = StoppingRule::new(&dipe_config);
+    let mut rule = StoppingRule::new(&dipe_config);
     emit_sampling_start(
         tracer,
         &dipe_config,
@@ -536,7 +536,7 @@ pub fn run_remote_total(
                 interval,
                 config.base_seed_offset,
                 &mut merger,
-                &rule,
+                &mut rule,
                 tracer,
             );
         }
@@ -606,7 +606,7 @@ pub fn run_remote_total(
                                     &mut merger,
                                     &NoFold,
                                     &mut (),
-                                    &rule,
+                                    &mut rule,
                                     tracer,
                                     report,
                                 );

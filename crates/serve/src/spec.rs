@@ -124,9 +124,10 @@ pub struct JobSpec {
     pub input_model: String,
     /// Delay model of the measurement backend.
     pub delay_model: DelayModel,
-    /// Which delay-aware backend runs the measured cycles
-    /// (`auto`/`event-driven`/`time-sliced`). Both concrete backends are
-    /// bit-identical, so this knob only shapes throughput, never results.
+    /// The configuration's lane-group measurement backend
+    /// (`auto`/`event-driven`/`time-sliced`). Served jobs are scalar,
+    /// sharded or remote runs, which measure every sample on the
+    /// event-driven wheel and ignore it.
     pub measure_mode: MeasureMode,
     /// Convergence target: maximum relative CI half-width.
     pub relative_error: f64,
@@ -216,10 +217,9 @@ impl JobSpec {
     /// — input model, seed and measure mode. Deliberately excludes the
     /// convergence target: a warm checkpoint is taken before any
     /// accuracy-dependent decision, so one entry serves every accuracy
-    /// requested for the same stream. The measure mode participates even
-    /// though the backends are bit-identical: a checkpoint resumed under a
-    /// forced `time-sliced` mode must fail validation (not estimation) when
-    /// the annotation is unrepresentable, so modes get distinct entries.
+    /// requested for the same stream. The measure mode participates too,
+    /// although served jobs ignore it: jobs that differ only in it get
+    /// distinct entries of equal content.
     pub fn warm_key(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.update(&self.circuit_key().to_le_bytes());
