@@ -272,12 +272,9 @@ mod tests {
     }
 
     fn run(circuit: &Circuit, estimator: &BreakdownEstimator) -> Estimate {
-        run_to_completion(
-            estimator
-                .start(circuit, &config(), &InputModel::uniform(), 0)
-                .unwrap(),
-        )
-        .unwrap()
+        estimator
+            .run(circuit, &config(), &InputModel::uniform())
+            .unwrap()
     }
 
     #[test]

@@ -116,7 +116,6 @@ impl PowerEstimator for ShardedBreakdownEstimator {
 mod tests {
     use super::*;
     use crate::BreakdownEstimator;
-    use dipe::estimate::run_to_completion;
     use dipe::input::InputModel;
     use dipe::{DipeConfig, Estimate};
     use netlist::iscas89;
@@ -130,12 +129,9 @@ mod tests {
     }
 
     fn run(circuit: &Circuit, estimator: &dyn PowerEstimator) -> Estimate {
-        run_to_completion(
-            estimator
-                .start(circuit, &config(), &InputModel::uniform(), 0)
-                .unwrap(),
-        )
-        .unwrap()
+        estimator
+            .run(circuit, &config(), &InputModel::uniform())
+            .unwrap()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dipe::input::InputModel;
-use dipe::{DipeConfig, DipeEstimator, LongSimulationReference};
+use dipe::{DipeConfig, DipeEstimator, LongSimulationReference, PowerEstimator};
 use netlist::iscas89;
 
 fn bench_dipe_estimation(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_dipe_estimation(c: &mut Criterion) {
                         &InputModel::uniform(),
                     )
                     .unwrap()
-                    .mean_power_w()
+                    .mean_power_w
             });
         });
     }
@@ -40,7 +40,7 @@ fn bench_reference_simulation(c: &mut Criterion) {
                 LongSimulationReference::new(10_000)
                     .run(circuit, &config, &InputModel::uniform())
                     .unwrap()
-                    .mean_power_w()
+                    .mean_power_w
             });
         });
     }

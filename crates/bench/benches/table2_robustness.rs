@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dipe::input::InputModel;
-use dipe::{DipeConfig, DipeEstimator};
+use dipe::{DipeConfig, DipeEstimator, PowerEstimator};
 use netlist::iscas89;
 
 fn bench_repeated_runs(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_repeated_runs(c: &mut Criterion) {
                             &InputModel::uniform(),
                         )
                         .unwrap();
-                    estimates.push(result.mean_power_w());
+                    estimates.push(result.mean_power_w);
                 }
                 estimates
             });

@@ -11,20 +11,23 @@
 //! dipe s1494 --breakdown --delay-model unit --json report.json
 //! dipe path/to/custom.bench --breakdown --top 20 --delay-model random:7
 //! dipe design.blif                   # BLIF by extension
-//! dipe design.aig --eval-mode partitioned   # binary AIGER, megagate backend
+//! dipe design.aig                    # binary AIGER
 //! dipe exported.net --format aag     # extension override
 //! ```
 //!
 //! `--delay-model` selects the gate delays of the measurement backend
-//! (`zero`, `unit[:<ps>]`, `fanout` — the default — or `random:<seed>`);
-//! decorrelation cycles always run the fast compiled zero-delay path
-//! regardless. A single run measures each sample on the scalar event wheel;
-//! `--measure-mode` picks the backend of `--lanes` replication: the 64-lane
-//! time-sliced word backend, the event wheel per sampling lane, or `auto`
-//! (the default — time-sliced whenever the annotation is slot-representable,
-//! bit-identical either way). Glitch power (transitions that exist only
-//! because of unequal path delays) is decomposed per net and reported in the
-//! breakdown tables, the replicated-lane summary and the JSON export.
+//! (`zero`, `unit[:<ps>]`, `fanout` — the default — or `random:<seed>`).
+//! The simulators follow from the input: decorrelation cycles run on the
+//! partitioned zero-delay kernel for fanin-≤ 2 netlists of 64 or more gates
+//! (AIGER input, generated tiles) and on the compiled one otherwise; a
+//! single run measures each sample on the scalar event wheel; `--lanes`
+//! replication measures on the 64-lane time-sliced word backend whenever
+//! the annotation is slot-representable and on the event wheel per sampling
+//! lane otherwise, and its summary names the backend that ran. The backends
+//! of each pair are bit-identical, so no choice moves an estimate. Glitch
+//! power (transitions that exist only because of unequal path delays) is
+//! decomposed per net and reported in the breakdown tables, the
+//! replicated-lane summary and the JSON export.
 //!
 //! `--breakdown` produces the spatial report: per-net switching activity with
 //! confidence intervals, mapped through the load capacitances to per-net and
@@ -41,13 +44,12 @@ use activity::{BreakdownEstimator, ConvergenceTarget};
 use dipe::input::InputModel;
 use dipe::report::TextTable;
 use dipe::{
-    run_replicated_dipe_with_glitch, CycleBudget, DipeConfig, DipeEstimator, Estimate, EvalMode,
-    MeasureMode, PowerEstimator, Progress, ShardedDipeEstimator,
+    run_replicated_dipe_with_glitch, CycleBudget, DipeConfig, DipeEstimator, Estimate,
+    PowerEstimator, Progress, ShardedDipeEstimator,
 };
 use dipe_cli::breakdown::breakdown_json;
 use dipe_serve::coordinator::run_remote_total;
 use dipe_serve::{CircuitRef, CoordinatorConfig, JobSpec, RemoteOutcome};
-use logicsim::SlotSchedule;
 use netlist::{iscas89, Circuit, DelayModel, FileSource, NetlistFormat, NetlistSource};
 use seqstats::NodeStoppingPolicy;
 use telemetry::{FileSink, Json, Tracer};
@@ -58,11 +60,9 @@ struct Options {
     /// Resolved in `parse_options`: `Some` when `circuit` is a file path,
     /// `None` when it names a catalogue benchmark.
     source: Option<FileSource>,
-    eval_mode: EvalMode,
     breakdown: bool,
     target: ConvergenceTarget,
     delay_model: DelayModel,
-    measure_mode: MeasureMode,
     lanes: usize,
     /// `None` until `--shards` is given; resolved to the available
     /// parallelism at run time.
@@ -94,11 +94,9 @@ impl Default for Options {
             circuit: String::new(),
             format: None,
             source: None,
-            eval_mode: EvalMode::Compiled,
             breakdown: false,
             target: ConvergenceTarget::NodeBreakdown,
             delay_model: DelayModel::default(),
-            measure_mode: MeasureMode::default(),
             lanes: 1,
             shards: None,
             workers: Vec::new(),
@@ -132,6 +130,8 @@ input:
 modes:
   (default)               total average power (the paper's DIPE estimator)
   --lanes N               N replicated total-power runs on the 64-lane backend
+                          (measured time-sliced when the delay annotation is
+                          slot-representable, else on the event-driven wheel)
   --breakdown             per-net activity + power breakdown
   --target node|total     breakdown convergence target (default: node)
 
@@ -141,17 +141,6 @@ simulation:
                           unit[:PS]    every gate PS picoseconds (default 100)
                           fanout       200 ps + 80 ps per fanout (the default)
                           random:SEED  per-gate uniform 60-340 ps from SEED
-  --measure-mode M        backend that runs the measured (glitch-counting)
-                          cycles of --lanes replication; all three report
-                          bit-identical numbers (single runs always measure
-                          on the scalar event-driven wheel):
-                          auto         time-sliced when the delay annotation is
-                                       slot-representable, event-driven
-                                       otherwise (the default)
-                          event-driven scalar timing wheel per sampling lane
-                          time-sliced  64-lane delay-slot backend (requires
-                                       --lanes; errors when the annotation
-                                       is not representable)
   --shards N              worker shards the sampling phase fans out to
                           (default: the available parallelism; 1 disables)
   --workers HOSTS         comma-separated `host:port` list of dipe-serve
@@ -161,9 +150,6 @@ simulation:
                           reconnects and reassignment never change the
                           estimate. Falls back to local execution (with a
                           warning) when no worker is reachable
-  --eval-mode M           zero-delay backend for decorrelation cycles:
-                          compiled     straight-line sweep (the default)
-                          partitioned  cache-blocked level tiles (megagate)
 
 accuracy:
   --error E               total-power max relative error (default 0.05)
@@ -214,28 +200,11 @@ fn parse_options() -> Result<Options, String> {
             "--delay-model" => {
                 options.delay_model = parse_delay_model(&take_value("--delay-model")?)?;
             }
-            "--measure-mode" => {
-                let value = take_value("--measure-mode")?;
-                options.measure_mode = MeasureMode::parse(&value).ok_or_else(|| {
-                    format!("--measure-mode must be auto|event-driven|time-sliced, got `{value}`")
-                })?;
-            }
             "--format" => {
                 let value = take_value("--format")?;
                 options.format = Some(NetlistFormat::from_extension(&value).ok_or_else(|| {
                     format!("--format must be bench|blif|aag|aig, got `{value}`")
                 })?);
-            }
-            "--eval-mode" => {
-                options.eval_mode = match take_value("--eval-mode")?.as_str() {
-                    "compiled" => EvalMode::Compiled,
-                    "partitioned" => EvalMode::Partitioned,
-                    other => {
-                        return Err(format!(
-                            "--eval-mode must be compiled|partitioned, got `{other}`"
-                        ))
-                    }
-                };
             }
             "--lanes" => {
                 options.lanes = take_value("--lanes")?
@@ -304,7 +273,7 @@ fn parse_options() -> Result<Options, String> {
             other if options.circuit.is_empty() && !other.starts_with('-') => {
                 options.circuit = other.to_string();
             }
-            other => return Err(format!("unknown argument `{other}`\n\n{}", usage())),
+            other => return Err(format!("unknown argument `{other}` (see `dipe --help`)")),
         }
     }
     if options.circuit.is_empty() {
@@ -332,13 +301,6 @@ fn parse_options() -> Result<Options, String> {
     }
     if options.lanes > 1 && options.trace.is_some() {
         return Err("--trace is not implemented for replicated (--lanes) runs".to_string());
-    }
-    if options.lanes == 1 && options.measure_mode == MeasureMode::TimeSliced {
-        return Err(
-            "--measure-mode time-sliced applies to --lanes replication; a single run \
-             measures on the event-driven wheel"
-                .to_string(),
-        );
     }
     if let Some(shards) = options.shards {
         if !(1..=256).contains(&shards) {
@@ -625,13 +587,11 @@ fn run_distributed(options: &Options, circuit: &Circuit) -> Result<(), String> {
     };
     let spec = JobSpec {
         circuit: circuit_ref,
-        input_model: "uniform".to_string(),
         delay_model: options.delay_model,
-        measure_mode: options.measure_mode,
-        relative_error: options.relative_error,
-        confidence: options.confidence,
-        seed: options.seed,
-    };
+        ..JobSpec::named("")
+    }
+    .with_accuracy(options.relative_error, options.confidence)
+    .with_seed(options.seed);
     let streams = resolve_shards(options);
     let mut remote = CoordinatorConfig::new(options.workers.clone(), streams);
     remote.quiet = options.quiet;
@@ -770,13 +730,13 @@ fn run_replicated(options: &Options, circuit: &Circuit, config: &DipeConfig) -> 
     }
     println!("circuit {}: {}", circuit.name(), circuit.stats());
     println!("delay model: {}", delay_model_label(options.delay_model));
-    // The gate in `main` already rejected non-representable annotations for
-    // every mode but the forced event-driven one, so the label is static.
-    let backend = match options.measure_mode {
-        MeasureMode::EventDriven => "event-driven (scalar wheel per sampling lane)",
-        MeasureMode::Auto | MeasureMode::TimeSliced => "time-sliced (64-lane delay slots)",
-    };
-    println!("measurement backend: {backend}");
+    match glitch.slot_rejection {
+        Some(rejection) => println!(
+            "measurement backend: {}; not time-sliced: {rejection}",
+            glitch.backend
+        ),
+        None => println!("measurement backend: {}", glitch.backend),
+    }
     println!(
         "{} replicated DIPE runs on the 64-lane bit-parallel backend:",
         options.lanes
@@ -981,29 +941,10 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // Replicated (`--lanes`) runs measure on the 64-lane time-sliced word
-    // backend, which only represents integer-slot delay annotations. An
-    // annotation it cannot take is a usage error — the flags contradict each
-    // other — so it exits 2 with the fallback spelled out rather than
-    // silently running 64 scalar wheels.
-    if options.lanes > 1 && options.measure_mode != MeasureMode::EventDriven {
-        if let Err(rejection) = SlotSchedule::supports(&circuit, options.delay_model) {
-            eprintln!(
-                "--lanes {}: delay model `{}` is not slot-representable ({rejection}); \
-                 pass --measure-mode event-driven to measure each lane on the scalar \
-                 event-driven fallback",
-                options.lanes,
-                options.delay_model.id()
-            );
-            return ExitCode::from(2);
-        }
-    }
     let config = DipeConfig::default()
         .with_seed(options.seed)
         .with_accuracy(options.relative_error, options.confidence)
-        .with_eval_mode(options.eval_mode)
-        .with_delay_model(options.delay_model)
-        .with_measure_mode(options.measure_mode);
+        .with_delay_model(options.delay_model);
     let outcome = if options.breakdown {
         run_breakdown(&options, &circuit, &config)
     } else {

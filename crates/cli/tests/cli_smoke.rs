@@ -26,9 +26,7 @@ const FLAGS: &[&str] = &[
     "--breakdown",
     "--target",
     "--delay-model",
-    "--measure-mode",
     "--format",
-    "--eval-mode",
     "--lanes",
     "--shards",
     "--top",
@@ -63,8 +61,8 @@ fn help_documents_every_flag_and_exits_zero() {
             "--help does not document delay model `{value}`:\n{help}"
         );
     }
-    // So are the netlist formats and the eval modes.
-    for value in [".bench", ".blif", ".aag", ".aig", "compiled", "partitioned"] {
+    // So are the netlist formats.
+    for value in [".bench", ".blif", ".aag", ".aig"] {
         assert!(
             help.contains(value),
             "--help does not document `{value}`:\n{help}"
@@ -122,10 +120,6 @@ fn bad_flag_values_are_rejected() {
     assert_usage_error(&["s27", "--confidence", "1"]);
     assert_usage_error(&["s27", "--format", "verilog"]);
     assert_usage_error(&["s27", "--format"]); // value missing
-    assert_usage_error(&["s27", "--eval-mode", "quantum"]);
-    assert_usage_error(&["s27", "--eval-mode"]); // value missing
-    assert_usage_error(&["s27", "--measure-mode", "wheel"]);
-    assert_usage_error(&["s27", "--measure-mode"]); // value missing
 }
 
 #[test]
@@ -337,34 +331,6 @@ fn netlist_files_load_by_extension_and_with_format_override() {
 }
 
 #[test]
-fn partitioned_eval_mode_matches_compiled() {
-    let compiled = dipe(&["s298", "--quiet", "--eval-mode", "compiled"]);
-    let partitioned = dipe(&["s298", "--quiet", "--eval-mode", "partitioned"]);
-    assert!(compiled.status.success());
-    assert!(partitioned.status.success());
-    // Same seed, bit-identical backends: everything but the wall-clock time
-    // agrees verbatim.
-    let digest = |output: &std::process::Output| {
-        let stdout = String::from_utf8_lossy(&output.stdout).to_string();
-        let power = stdout
-            .lines()
-            .find(|l| l.starts_with("average power"))
-            .expect("summary reports a power line")
-            .to_string();
-        let samples = stdout
-            .lines()
-            .find(|l| l.starts_with("samples:"))
-            .expect("summary reports a samples line")
-            .split(" measured")
-            .next()
-            .unwrap()
-            .to_string();
-        (power, samples)
-    };
-    assert_eq!(digest(&compiled), digest(&partitioned));
-}
-
-#[test]
 fn json_reports_identify_their_delay_model() {
     let path = std::env::temp_dir().join(format!("dipe_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().unwrap();
@@ -503,115 +469,81 @@ fn tiny_total_run_succeeds_under_every_delay_model() {
 fn replicated_lanes_compose_with_delay_models_and_print_glitch_columns() {
     // `--lanes` + a slot-representable annotation runs on the time-sliced
     // word backend and reports the pooled glitch decomposition.
-    let output = dipe(&["s27", "--quiet", "--lanes", "3", "--delay-model", "unit"]);
-    assert!(
-        output.status.success(),
-        "--lanes 3 --delay-model unit failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8(output.stdout).unwrap();
-    assert!(stdout.contains("time-sliced"), "stdout: {stdout}");
-    for column in ["Glitch tr.", "Glitch p̄ (mW)", "Total tr.", "Settled tr."] {
-        assert!(
-            stdout.contains(column),
-            "missing glitch column `{column}`:\n{stdout}"
-        );
-    }
-    assert!(stdout.contains("pooled mean"), "stdout: {stdout}");
-
-    // Forcing the scalar reference backend is also accepted and prints the
-    // same decomposition table (the numbers are bit-identical by contract).
-    let forced = dipe(&[
-        "s27",
-        "--quiet",
-        "--lanes",
-        "3",
-        "--delay-model",
-        "unit",
-        "--measure-mode",
-        "event-driven",
-    ]);
-    assert!(
-        forced.status.success(),
-        "forced event-driven lanes failed: {}",
-        String::from_utf8_lossy(&forced.stderr)
-    );
-    let forced_stdout = String::from_utf8(forced.stdout).unwrap();
-    assert!(forced_stdout.contains("event-driven"), "{forced_stdout}");
-    assert!(forced_stdout.contains("Glitch tr."), "{forced_stdout}");
-    // The lane estimates and the glitch decomposition must agree between
-    // backends; only the backend label line differs.
-    let numbers = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.contains("backend"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(numbers(&stdout), numbers(&forced_stdout));
-}
-
-#[test]
-fn time_sliced_measurement_without_lanes_is_a_one_line_usage_error() {
-    // A single run measures each sample on the event-driven wheel, so it
-    // cannot honour a forced time-sliced backend: the error names `--lanes`.
-    let output = dipe(&["s27", "--quiet", "--measure-mode", "time-sliced"]);
-    assert_eq!(output.status.code(), Some(2), "time-sliced without --lanes");
-    let stderr = String::from_utf8(output.stderr).unwrap();
-    assert_eq!(
-        stderr.trim().lines().count(),
-        1,
-        "diagnostic must be one line:\n{stderr}"
-    );
-    assert!(stderr.contains("--lanes"), "stderr: {stderr}");
-    // `auto` and `event-driven` stay accepted on a single run, and
-    // `time-sliced` on a lane group.
-    for (mode, lanes) in [("auto", "1"), ("event-driven", "1"), ("time-sliced", "2")] {
-        let output = dipe(&["s27", "--quiet", "--lanes", lanes, "--measure-mode", mode]);
+    for model in ["unit", "fanout"] {
+        let output = dipe(&["s27", "--quiet", "--lanes", "3", "--delay-model", model]);
         assert!(
             output.status.success(),
-            "--measure-mode {mode} --lanes {lanes} failed: {}",
+            "--lanes 3 --delay-model {model} failed: {}",
             String::from_utf8_lossy(&output.stderr)
+        );
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(
+            stdout.contains("measurement backend: time-sliced"),
+            "{model}: {stdout}"
+        );
+        for column in ["Glitch tr.", "Glitch p̄ (mW)", "Total tr.", "Settled tr."] {
+            assert!(
+                stdout.contains(column),
+                "{model}: missing glitch column `{column}`:\n{stdout}"
+            );
+        }
+        assert!(stdout.contains("pooled mean"), "{model}: {stdout}");
+    }
+}
+
+#[test]
+fn retired_backend_flags_are_one_line_unknown_flag_errors() {
+    // The code picks every simulation backend, so the flags that once chose
+    // them are unknown arguments like any other.
+    for (flag, value) in [
+        ("--eval-mode", "compiled"),
+        ("--eval-mode", "partitioned"),
+        ("--measure-mode", "auto"),
+        ("--measure-mode", "event-driven"),
+        ("--measure-mode", "time-sliced"),
+    ] {
+        let output = dipe(&["s27", "--quiet", flag, value]);
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(
+            stderr.trim().lines().count(),
+            1,
+            "diagnostic must be one line:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("unknown argument") && stderr.contains(flag),
+            "{flag} {value}: {stderr}"
         );
     }
 }
 
 #[test]
-fn non_representable_annotations_with_lanes_exit_two_naming_the_fallback() {
+fn non_representable_annotations_with_lanes_run_on_the_event_driven_fallback() {
     // The random annotation has gcd ~1 ps, far past the 63-slot horizon, so
-    // the word backend cannot take it: a one-line usage error that names the
-    // event-driven fallback, not a silent scalar run.
-    let output = dipe(&["s27", "--lanes", "2", "--delay-model", "random:7"]);
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "non-representable --lanes runs are usage errors"
-    );
-    let stderr = String::from_utf8(output.stderr).unwrap();
-    assert_eq!(
-        stderr.trim().lines().count(),
-        1,
-        "diagnostic must be one line:\n{stderr}"
-    );
-    assert!(stderr.contains("random:7"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("event-driven"),
-        "the error must name the fallback backend:\n{stderr}"
-    );
-
-    // Selecting the named fallback explicitly makes the same flags run.
-    let fallback = dipe(&[
+    // the word backend cannot take it: the lane group measures on the
+    // event-driven wheel and its backend line names the slot rejection.
+    let output = dipe(&[
         "s27",
         "--quiet",
         "--lanes",
         "2",
         "--delay-model",
         "random:7",
-        "--measure-mode",
-        "event-driven",
     ]);
     assert!(
-        fallback.status.success(),
-        "the documented fallback failed: {}",
-        String::from_utf8_lossy(&fallback.stderr)
+        output.status.success(),
+        "non-representable --lanes run failed: {}",
+        String::from_utf8_lossy(&output.stderr)
     );
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let backend = stdout
+        .lines()
+        .find(|l| l.starts_with("measurement backend:"))
+        .unwrap_or_else(|| panic!("no backend line:\n{stdout}"));
+    assert!(backend.contains("event-driven"), "{backend}");
+    assert!(
+        backend.contains("delay slots"),
+        "names the rejection: {backend}"
+    );
+    assert!(stdout.contains("Glitch tr."), "{stdout}");
 }

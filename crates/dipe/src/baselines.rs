@@ -16,8 +16,8 @@
 //!   magnitude more cycles per sample than DIPE's dynamically selected
 //!   independence interval.
 //!
-//! Both produce the unified [`Estimate`] record, so their results line up
-//! column-for-column against DIPE and the reference.
+//! Both produce the unified [`Estimate`](crate::Estimate) record, so their
+//! results line up column-for-column against DIPE and the reference.
 
 use logicsim::GlitchActivity;
 use netlist::Circuit;
@@ -25,9 +25,7 @@ use seqstats::{MomentAccumulatorState, NodeStoppingDecision};
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
-use crate::estimate::{
-    run_to_completion, DecoupledSession, Diagnostics, Estimate, EstimationSession, PowerEstimator,
-};
+use crate::estimate::{DecoupledSession, Diagnostics, EstimationSession, PowerEstimator};
 use crate::independence::IndependenceSelection;
 use crate::input::InputModel;
 use crate::sampler::PowerSampler;
@@ -51,23 +49,6 @@ impl Default for DecoupledCombinationalEstimator {
             characterization_cycles: 20_000,
             samples: 2_000,
         }
-    }
-}
-
-impl DecoupledCombinationalEstimator {
-    /// Runs the decoupled estimation to completion — a thin wrapper driving
-    /// a [session](PowerEstimator::start) with an unbounded budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and input-model errors.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        config: &DipeConfig,
-        input_model: &InputModel,
-    ) -> Result<Estimate, DipeError> {
-        run_to_completion(self.start(circuit, config, input_model, 0)?)
     }
 }
 
@@ -116,23 +97,6 @@ impl FixedWarmupEstimator {
     /// Creates an estimator with an explicit per-sample warm-up.
     pub fn new(warmup_per_sample: usize) -> Self {
         FixedWarmupEstimator { warmup_per_sample }
-    }
-
-    /// Runs the estimation to completion with the same stopping criterion as
-    /// DIPE, but a fixed warm-up between samples instead of the runs-test
-    /// interval.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/input-model errors and reports
-    /// [`DipeError::SampleBudgetExhausted`] when the accuracy is not reached.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        config: &DipeConfig,
-        input_model: &InputModel,
-    ) -> Result<Estimate, DipeError> {
-        run_to_completion(self.start(circuit, config, input_model, 0)?)
     }
 }
 
@@ -250,7 +214,7 @@ mod tests {
         let warmup = FixedWarmupEstimator::new(100)
             .run(&c, &config, &InputModel::uniform())
             .unwrap();
-        assert!(warmup.relative_deviation_from(reference.mean_power_w()) < 0.08);
+        assert!(warmup.relative_deviation_from(reference.mean_power_w) < 0.08);
 
         let dipe = DipeEstimator::new()
             .run(&c, &config, &InputModel::uniform())
@@ -258,7 +222,7 @@ mod tests {
         // Same accuracy class, but the fixed warm-up simulates far more
         // zero-delay cycles per measured sample.
         let warmup_ratio = warmup.cycle_counts.zero_delay_cycles as f64 / warmup.sample_size as f64;
-        let dipe_ratio = dipe.cycle_counts().zero_delay_cycles as f64 / dipe.sample_size() as f64;
+        let dipe_ratio = dipe.cycle_counts.zero_delay_cycles as f64 / dipe.sample_size as f64;
         assert!(
             warmup_ratio > 5.0 * dipe_ratio,
             "fixed warm-up ratio {warmup_ratio:.1} vs DIPE ratio {dipe_ratio:.1}"

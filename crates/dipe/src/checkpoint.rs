@@ -4,12 +4,12 @@
 //! session needs to continue *as if it had never stopped*: the exact RNG
 //! position of the input stream, the circuit's latch state and input pattern
 //! (from which the zero-delay simulator's settled values are reconstructed
-//! deterministically), the cycle accounting, the selected independence
-//! interval with its trial trace, and the pooled power sample stored as raw
-//! IEEE-754 bits ([`seqstats::PooledSampleState`]). The measurement
-//! simulator — the event-driven wheel every session sample measures on,
-//! whatever the lane-group [`MeasureMode`](crate::MeasureMode) says —
-//! carries no state across cycles, so nothing of it needs to be captured.
+//! deterministically, on whichever zero-delay kernel the restoring sampler
+//! runs), the cycle accounting, the selected independence interval with its
+//! trial trace, and the pooled power sample stored as raw IEEE-754 bits
+//! ([`seqstats::PooledSampleState`]). The measurement simulator — the
+//! event-driven wheel every session sample measures on — carries no state
+//! across cycles, so nothing of it needs to be captured.
 //! Neither does the stopping rule's fold of the sample's running moments: a
 //! resumed session folds the restored sample once, at its first block
 //! boundary.

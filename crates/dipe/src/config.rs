@@ -21,64 +21,25 @@ pub enum CriterionKind {
     Dkw,
 }
 
-/// Which zero-delay backend executes the decorrelation (state-advance)
-/// cycles between measurements.
+/// The names of the two lane-group measurement backends plus `auto`, as
+/// the `dipe-serve` job protocol spells them (`JobSpec::measure_mode`).
 ///
-/// Both backends run the same [`netlist::CompiledCircuit`] instruction
-/// stream and are bit-identical; they differ only in traversal strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum EvalMode {
-    /// Straight-line sweep over the full instruction stream
-    /// ([`logicsim::CompiledSimulator`]). Default; best for small and
-    /// mid-size circuits.
-    #[default]
-    Compiled,
-    /// Cache-blocked levelised traversal in fixed-size tiles
-    /// ([`logicsim::PartitionedSimulator`]); the megagate (10^5+ gate)
-    /// backend.
-    Partitioned,
-}
-
-impl EvalMode {
-    /// Short stable identifier: `"compiled"` or `"partitioned"`.
-    pub fn id(self) -> &'static str {
-        match self {
-            EvalMode::Compiled => "compiled",
-            EvalMode::Partitioned => "partitioned",
-        }
-    }
-}
-
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-/// Which delay-aware backend executes the measured (glitch-counting)
-/// cycles of a lane group ([`crate::run_replicated_dipe`], `--lanes`).
-///
-/// Scalar, sharded and remote runs ignore it: a scalar sample is one
-/// replication, so it always measures on [`logicsim::EventDrivenSimulator`].
-/// The two lane-group backends are bit-identical wherever both apply — the
-/// per-net `GlitchActivity` counts and hence every power figure match bit
-/// for bit — so [`Auto`](MeasureMode::Auto) switching is numerically
-/// invisible.
+/// No run reads it: a lane group ([`crate::run_replicated_dipe`])
+/// measures on [`logicsim::TimeSlicedSimulator`] whenever the delay
+/// annotation is slot-representable and on [`logicsim::EventDrivenSimulator`]
+/// otherwise, and every other run measures on the event-driven wheel. The
+/// type stays because job records and the pipeline benchmark still carry
+/// the field; jobs parse and echo it, and ignore it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum MeasureMode {
-    /// Pick [`logicsim::TimeSlicedSimulator`] when the configured delay
-    /// annotation is slot-representable, else fall back to
-    /// [`logicsim::EventDrivenSimulator`]. Default.
+    /// Time-sliced when the annotation is slot-representable, else
+    /// event-driven — what every lane group does. Default.
     #[default]
     Auto,
-    /// Force the scalar event-driven timing wheel, one cycle per sampling
-    /// lane.
+    /// The scalar event-driven timing wheel.
     EventDriven,
-    /// Force the 64-lane time-sliced backend; a lane group fails with
-    /// [`DipeError::InvalidConfig`] when the annotation is not
-    /// slot-representable.
+    /// The 64-lane time-sliced backend.
     TimeSliced,
 }
 
@@ -101,12 +62,6 @@ impl MeasureMode {
             "time-sliced" => Some(MeasureMode::TimeSliced),
             _ => None,
         }
-    }
-}
-
-impl std::fmt::Display for MeasureMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
     }
 }
 
@@ -142,13 +97,6 @@ pub struct DipeConfig {
     pub max_samples: usize,
     /// Which stopping criterion to use.
     pub criterion: CriterionKind,
-    /// Which zero-delay backend runs the decorrelation cycles.
-    #[serde(default)]
-    pub eval_mode: EvalMode,
-    /// Which delay-aware backend runs the measured (glitch-counting)
-    /// cycles.
-    #[serde(default)]
-    pub measure_mode: MeasureMode,
     /// Gate delay model for the measurement (general-delay) simulator.
     pub delay_model: DelayModel,
     /// Electrical operating point.
@@ -173,8 +121,6 @@ impl Default for DipeConfig {
             min_samples: 64,
             max_samples: 200_000,
             criterion: CriterionKind::Normal,
-            eval_mode: EvalMode::default(),
-            measure_mode: MeasureMode::default(),
             delay_model: DelayModel::default(),
             technology: Technology::default(),
             capacitance: CapacitanceModel::default(),
@@ -227,20 +173,6 @@ impl DipeConfig {
     pub fn with_sample_budget(mut self, min_samples: usize, max_samples: usize) -> Self {
         self.min_samples = min_samples;
         self.max_samples = max_samples;
-        self
-    }
-
-    /// Sets the zero-delay backend for the decorrelation cycles (builder
-    /// style).
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
-        self
-    }
-
-    /// Sets the delay-aware backend for the measured cycles (builder
-    /// style).
-    pub fn with_measure_mode(mut self, measure_mode: MeasureMode) -> Self {
-        self.measure_mode = measure_mode;
         self
     }
 
@@ -355,8 +287,6 @@ mod tests {
         assert_eq!(c.confidence, 0.99);
         assert_eq!(c.sequence_length, 320);
         assert_eq!(c.criterion, CriterionKind::Normal);
-        assert_eq!(c.eval_mode, EvalMode::Compiled);
-        assert_eq!(c.measure_mode, MeasureMode::Auto);
         assert!(c.validate().is_ok());
     }
 
@@ -370,8 +300,6 @@ mod tests {
             .with_sequence_length(128)
             .with_warmup_cycles(512)
             .with_sample_budget(128, 50_000)
-            .with_eval_mode(EvalMode::Partitioned)
-            .with_measure_mode(MeasureMode::TimeSliced)
             .with_delay_model(logicsim::DelayModel::Unit(100))
             .with_technology(Technology::new(3.3, 50.0e6));
         assert_eq!(c.seed, 7);
@@ -383,8 +311,6 @@ mod tests {
         assert_eq!(c.warmup_cycles, 512);
         assert_eq!(c.min_samples, 128);
         assert_eq!(c.max_samples, 50_000);
-        assert_eq!(c.eval_mode, EvalMode::Partitioned);
-        assert_eq!(c.measure_mode, MeasureMode::TimeSliced);
         assert!(c.validate().is_ok());
     }
 
@@ -396,7 +322,6 @@ mod tests {
             MeasureMode::TimeSliced,
         ] {
             assert_eq!(MeasureMode::parse(mode.id()), Some(mode));
-            assert_eq!(format!("{mode}"), mode.id());
         }
         assert_eq!(MeasureMode::parse("wheel"), None);
     }

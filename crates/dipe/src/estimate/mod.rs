@@ -13,17 +13,17 @@
 //!
 //! The session design makes every estimator *re-entrant*: callers decide how
 //! many cycles to spend per step, so they get incremental progress reporting,
-//! deadlines and cancellation for free, instead of a monolithic blocking
-//! `run()`. Stepping never changes the result — a session driven with a tiny
-//! budget produces exactly the same [`Estimate`] as one driven to completion
-//! in a single call, because the underlying simulation sequence is identical.
+//! deadlines and cancellation for free. [`PowerEstimator::run`] is the one
+//! blocking entry point on top. Stepping never changes the result — a
+//! session driven with a tiny budget produces exactly the same [`Estimate`]
+//! as one driven to completion in a single call, because the underlying
+//! simulation sequence is identical.
 //!
 //! All estimators produce the same [`Estimate`] record (mean power, CI
 //! half-width, sample size, cycle accounting, wall-clock time), with
-//! per-estimator extras carried in the [`Diagnostics`] tagged enum. This
-//! replaces the previous `DipeResult` / `BaselineResult` split and makes
-//! cross-estimator comparison — the substance of Tables 1 and 2 — a matter
-//! of lining up identical records.
+//! per-estimator extras carried in the [`Diagnostics`] tagged enum, so
+//! cross-estimator comparison — the substance of Tables 1 and 2 — is a
+//! matter of lining up identical records.
 //!
 //! Batch execution over many (circuit × estimator × seed) jobs lives in
 //! [`crate::engine`].
@@ -384,6 +384,23 @@ pub trait PowerEstimator: Send + Sync {
         input_model: &InputModel,
         seed_offset: u64,
     ) -> Result<Box<dyn EstimationSession + 'c>, DipeError>;
+
+    /// Runs a session with seed offset 0 to completion — the blocking
+    /// counterpart of [`start`](Self::start). Use `start` directly for
+    /// incremental progress, deadlines or cancellation.
+    ///
+    /// # Errors
+    ///
+    /// As for [`start`](Self::start), plus the first error the session
+    /// reports (see [`EstimationSession::step`]).
+    fn run(
+        &self,
+        circuit: &Circuit,
+        config: &DipeConfig,
+        input_model: &InputModel,
+    ) -> Result<Estimate, DipeError> {
+        run_to_completion(self.start(circuit, config, input_model, 0)?)
+    }
 }
 
 /// A running, re-entrant estimation.

@@ -6,132 +6,16 @@ use netlist::Circuit;
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
-use crate::estimate::{
-    run_to_completion, Diagnostics, Estimate, EstimationSession, PowerEstimator,
-};
-use crate::independence::IndependenceSelection;
+use crate::estimate::{EstimationSession, PowerEstimator};
 use crate::input::InputModel;
-use crate::sampler::{CycleCounts, PowerSampler};
+use crate::sampler::PowerSampler;
 use crate::session::{NoFold, Session, Source};
 use crate::shards::SerialFront;
 
-/// The result of one DIPE estimation run — the DIPE-shaped view of an
-/// [`Estimate`], kept for callers that want the selection diagnostics and
-/// raw sample without matching on [`Diagnostics`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DipeResult {
-    mean_power_w: f64,
-    relative_half_width: f64,
-    sample: Vec<f64>,
-    selection: IndependenceSelection,
-    cycle_counts: CycleCounts,
-    elapsed_seconds: f64,
-    criterion_name: String,
-}
-
-impl DipeResult {
-    fn from_estimate(estimate: Estimate) -> DipeResult {
-        let Estimate {
-            mean_power_w,
-            relative_half_width,
-            cycle_counts,
-            elapsed_seconds,
-            diagnostics,
-            ..
-        } = estimate;
-        match diagnostics {
-            Diagnostics::Dipe {
-                selection,
-                criterion,
-                sample,
-            } => DipeResult {
-                mean_power_w,
-                relative_half_width: relative_half_width.unwrap_or(f64::NAN),
-                sample,
-                selection,
-                cycle_counts,
-                elapsed_seconds,
-                criterion_name: criterion,
-            },
-            _ => unreachable!("a DIPE session always attaches DIPE diagnostics"),
-        }
-    }
-
-    /// The estimated average power in watts.
-    #[inline]
-    pub fn mean_power_w(&self) -> f64 {
-        self.mean_power_w
-    }
-
-    /// The estimated average power in milliwatts (the unit of Table 1).
-    #[inline]
-    pub fn mean_power_mw(&self) -> f64 {
-        self.mean_power_w * 1e3
-    }
-
-    /// The relative half-width of the confidence interval achieved when
-    /// sampling stopped.
-    #[inline]
-    pub fn relative_half_width(&self) -> f64 {
-        self.relative_half_width
-    }
-
-    /// The number of power samples collected (the "Sample Size" column of
-    /// Table 1).
-    #[inline]
-    pub fn sample_size(&self) -> usize {
-        self.sample.len()
-    }
-
-    /// The raw power sample in watts, in collection order.
-    #[inline]
-    pub fn sample(&self) -> &[f64] {
-        &self.sample
-    }
-
-    /// The selected independence interval in clock cycles (the "I.I." column
-    /// of Table 1).
-    #[inline]
-    pub fn independence_interval(&self) -> usize {
-        self.selection.interval
-    }
-
-    /// The full independence-interval selection diagnostics.
-    #[inline]
-    pub fn selection(&self) -> &IndependenceSelection {
-        &self.selection
-    }
-
-    /// Cycle bookkeeping (zero-delay vs measured cycles).
-    #[inline]
-    pub fn cycle_counts(&self) -> CycleCounts {
-        self.cycle_counts
-    }
-
-    /// Wall-clock seconds the run took (the "CPU Time" column of Table 1,
-    /// measured on the host rather than a SPARC 20).
-    #[inline]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed_seconds
-    }
-
-    /// The name of the stopping criterion that terminated the run.
-    #[inline]
-    pub fn criterion_name(&self) -> &str {
-        &self.criterion_name
-    }
-
-    /// The relative deviation of this estimate from a reference value
-    /// (Eq. 8 of the paper, for a single run), as a fraction.
-    pub fn relative_deviation_from(&self, reference_power_w: f64) -> f64 {
-        crate::report::relative_deviation(reference_power_w, self.mean_power_w)
-    }
-}
-
 /// The paper's estimator. A plain specification value: the circuit,
 /// configuration and input model are supplied when a session is
-/// [started](PowerEstimator::start) (or to the blocking [`run`](Self::run)
-/// wrapper).
+/// [started](PowerEstimator::start) (or to the blocking
+/// [`run`](PowerEstimator::run)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DipeEstimator {
     seed_offset: u64,
@@ -150,29 +34,6 @@ impl DipeEstimator {
     pub fn with_seed_offset(mut self, seed_offset: u64) -> Self {
         self.seed_offset = seed_offset;
         self
-    }
-
-    /// Runs the full estimation flow of Fig. 1 to completion — a thin
-    /// compatibility wrapper that opens a session and drives it with an
-    /// unbounded budget. Use [`PowerEstimator::start`] directly for
-    /// incremental progress, deadlines or cancellation.
-    ///
-    /// # Errors
-    ///
-    /// * [`DipeError::InvalidConfig`] / [`DipeError::InputModelMismatch`]
-    ///   for unusable configurations or input models;
-    /// * [`DipeError::NoIndependenceInterval`] if no interval up to the
-    ///   configured maximum passes the randomness test;
-    /// * [`DipeError::SampleBudgetExhausted`] if the accuracy specification is
-    ///   not met within `max_samples` samples.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        config: &DipeConfig,
-        input_model: &InputModel,
-    ) -> Result<DipeResult, DipeError> {
-        let session = self.start(circuit, config, input_model, 0)?;
-        Ok(DipeResult::from_estimate(run_to_completion(session)?))
     }
 
     /// Reopens a session at a [checkpoint](crate::checkpoint) captured from
@@ -309,9 +170,11 @@ impl PowerEstimator for DipeEstimator {
 mod tests {
     use super::*;
     use crate::config::CriterionKind;
+    use crate::estimate::{Diagnostics, Estimate};
+    use crate::independence::IndependenceSelection;
     use netlist::iscas89;
 
-    fn run_on(name: &str, seed: u64) -> DipeResult {
+    fn run_on(name: &str, seed: u64) -> Estimate {
         let c = iscas89::load(name).unwrap();
         let config = DipeConfig::default().with_seed(seed);
         DipeEstimator::new()
@@ -319,16 +182,28 @@ mod tests {
             .unwrap()
     }
 
+    /// The DIPE diagnostics: interval selection, criterion name and sample.
+    fn dipe_parts(estimate: &Estimate) -> (&IndependenceSelection, &str, &[f64]) {
+        match &estimate.diagnostics {
+            Diagnostics::Dipe {
+                selection,
+                criterion,
+                sample,
+            } => (selection, criterion, sample),
+            other => panic!("expected DIPE diagnostics, got {other:?}"),
+        }
+    }
+
     #[test]
     fn s27_estimate_is_reasonable() {
         let result = run_on("s27", 1);
         assert!(result.mean_power_mw() > 0.001 && result.mean_power_mw() < 10.0);
-        assert!(result.sample_size() >= 64);
-        assert!(result.independence_interval() <= 10);
-        assert!(result.relative_half_width() < 0.05);
-        assert!(result.cycle_counts().measured_cycles >= result.sample_size() as u64);
-        assert!(result.elapsed_seconds() >= 0.0);
-        assert!(result.criterion_name().contains("CLT"));
+        assert!(result.sample_size >= 64);
+        assert!(result.independence_interval().unwrap() <= 10);
+        assert!(result.relative_half_width.unwrap() < 0.05);
+        assert!(result.cycle_counts.measured_cycles >= result.sample_size as u64);
+        assert!(result.elapsed_seconds >= 0.0);
+        assert!(dipe_parts(&result).1.contains("CLT"));
     }
 
     #[test]
@@ -341,7 +216,7 @@ mod tests {
         let reference = crate::reference::LongSimulationReference::new(30_000)
             .run(&c, &config, &InputModel::uniform())
             .unwrap();
-        let deviation = result.relative_deviation_from(reference.mean_power_w());
+        let deviation = result.relative_deviation_from(reference.mean_power_w);
         // The spec is 5% at 99% confidence; allow a small margin on top for
         // the finite reference.
         assert!(
@@ -357,8 +232,8 @@ mod tests {
     fn runs_are_reproducible_per_seed() {
         let a = run_on("s27", 9);
         let b = run_on("s27", 9);
-        assert_eq!(a.mean_power_w(), b.mean_power_w());
-        assert_eq!(a.sample_size(), b.sample_size());
+        assert_eq!(a.mean_power_w, b.mean_power_w);
+        assert_eq!(a.sample_size, b.sample_size);
         assert_eq!(a.independence_interval(), b.independence_interval());
     }
 
@@ -388,11 +263,11 @@ mod tests {
             running_reports > 1,
             "a 500-cycle budget must interrupt the run"
         );
-        assert_eq!(stepped.mean_power_w, blocking.mean_power_w());
-        assert_eq!(stepped.sample_size, blocking.sample_size());
+        assert_eq!(stepped.mean_power_w, blocking.mean_power_w);
+        assert_eq!(stepped.sample_size, blocking.sample_size);
         assert_eq!(
             stepped.independence_interval(),
-            Some(blocking.independence_interval())
+            blocking.independence_interval()
         );
         // A finished session keeps reporting Done with the same estimate.
         match session.step(CycleBudget::cycles(1)).unwrap() {
@@ -413,15 +288,15 @@ mod tests {
             .with_seed_offset(2)
             .run(&c, &config, &InputModel::uniform())
             .unwrap();
-        assert_ne!(a.sample(), b.sample());
-        let rel = (a.mean_power_w() - b.mean_power_w()).abs() / a.mean_power_w();
+        assert_ne!(dipe_parts(&a).2, dipe_parts(&b).2);
+        let rel = (a.mean_power_w - b.mean_power_w).abs() / a.mean_power_w;
         assert!(rel < 0.15, "two runs differ by {rel}");
     }
 
     #[test]
     fn sample_is_block_aligned() {
         let result = run_on("s27", 13);
-        assert_eq!(result.sample_size() % DipeConfig::default().block_size, 0);
+        assert_eq!(result.sample_size % DipeConfig::default().block_size, 0);
     }
 
     #[test]
@@ -432,8 +307,8 @@ mod tests {
             let result = DipeEstimator::new()
                 .run(&c, &config, &InputModel::uniform())
                 .unwrap();
-            assert!(result.mean_power_w() > 0.0, "{kind:?}");
-            assert!(result.relative_half_width() < 0.05, "{kind:?}");
+            assert!(result.mean_power_w > 0.0, "{kind:?}");
+            assert!(result.relative_half_width.unwrap() < 0.05, "{kind:?}");
         }
     }
 
@@ -446,10 +321,13 @@ mod tests {
             correlation: 0.7,
         };
         let result = DipeEstimator::new().run(&c, &config, &model).unwrap();
-        assert!(result.mean_power_w() > 0.0);
+        assert!(result.mean_power_w > 0.0);
         // Correlated inputs slow the mixing, so the interval may be larger,
         // but it must still be found.
-        assert!(result.independence_interval() <= DipeConfig::default().max_independence_interval);
+        assert!(
+            result.independence_interval().unwrap()
+                <= DipeConfig::default().max_independence_interval
+        );
     }
 
     #[test]
@@ -473,7 +351,7 @@ mod tests {
                 &InputModel::uniform(),
             )
             .unwrap();
-        assert!(tight.sample_size() > loose.sample_size());
+        assert!(tight.sample_size > loose.sample_size);
     }
 
     #[test]
@@ -545,22 +423,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             resumed.mean_power_w.to_bits(),
-            uninterrupted.mean_power_w().to_bits()
+            uninterrupted.mean_power_w.to_bits()
         );
-        assert_eq!(resumed.sample_size, uninterrupted.sample_size());
-        assert_eq!(resumed.cycle_counts, uninterrupted.cycle_counts());
-        match &resumed.diagnostics {
-            Diagnostics::Dipe {
-                selection, sample, ..
-            } => {
-                assert_eq!(selection, uninterrupted.selection());
-                let expected: Vec<u64> =
-                    uninterrupted.sample().iter().map(|v| v.to_bits()).collect();
-                let got: Vec<u64> = sample.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, expected, "resumed sample must match bit-for-bit");
-            }
-            other => panic!("unexpected diagnostics {other:?}"),
-        }
+        assert_eq!(resumed.sample_size, uninterrupted.sample_size);
+        assert_eq!(resumed.cycle_counts, uninterrupted.cycle_counts);
+        let (selection, _, sample) = dipe_parts(&resumed);
+        let (expected_selection, _, expected_sample) = dipe_parts(&uninterrupted);
+        assert_eq!(selection, expected_selection);
+        let expected: Vec<u64> = expected_sample.iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u64> = sample.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, expected, "resumed sample must match bit-for-bit");
     }
 
     #[test]
@@ -595,12 +467,9 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        assert_eq!(
-            resumed.mean_power_w.to_bits(),
-            cold.mean_power_w().to_bits()
-        );
-        assert_eq!(resumed.sample_size, cold.sample_size());
-        assert_eq!(resumed.cycle_counts, cold.cycle_counts());
+        assert_eq!(resumed.mean_power_w.to_bits(), cold.mean_power_w.to_bits());
+        assert_eq!(resumed.sample_size, cold.sample_size);
+        assert_eq!(resumed.cycle_counts, cold.cycle_counts);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! the cycle at once, and each lane projects its own per-net counts out of
 //! the shared [`logicsim::WordGlitchActivity`]. Otherwise every sampling
 //! lane falls back to a scalar [`EventDrivenSimulator`] cycle — bit-identical
-//! counts, scalar speed. Lanes finish independently; finished lanes stop
-//! consuming their input stream and their word bits become don't-cares.
+//! counts, scalar speed — and the group's [`LaneGlitchSummary`] names the
+//! backend and the [`SlotRejection`] behind the fallback. Lanes finish
+//! independently; finished lanes stop consuming their input stream and
+//! their word bits become don't-cares.
 //!
 //! Every statistical field of the per-lane [`Estimate`] is **bit-exact**
 //! with the scalar session the [`crate::engine::Engine`] would have run for
@@ -33,14 +35,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use logicsim::{
-    pack_lane_bit, BitParallelSimulator, EventDrivenSimulator, GlitchActivity, TimeSlicedSimulator,
-    LANES,
+    pack_lane_bit, BitParallelSimulator, EventDrivenSimulator, GlitchActivity, SlotRejection,
+    TimeSlicedSimulator, LANES,
 };
 use netlist::Circuit;
 use power::PowerCalculator;
 use telemetry::Tracer;
 
-use crate::config::{DipeConfig, MeasureMode};
+use crate::config::DipeConfig;
 use crate::error::DipeError;
 use crate::estimate::{Estimate, PowerEstimator};
 use crate::independence::{IndependenceSelection, IntervalSelector};
@@ -81,11 +83,36 @@ impl Lane {
     }
 }
 
+/// The backend that measured a lane group's sampling cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneBackend {
+    /// The 64-lane time-sliced word backend: one pass measures every
+    /// sampling lane of a cycle.
+    TimeSliced,
+    /// The scalar event-driven wheel, one cycle per sampling lane.
+    EventDriven,
+}
+
+impl std::fmt::Display for LaneBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LaneBackend::TimeSliced => "time-sliced (64-lane delay slots)",
+            LaneBackend::EventDriven => "event-driven (scalar wheel per sampling lane)",
+        })
+    }
+}
+
 /// Aggregate glitch accounting over every measured cycle of a replicated
-/// run, summed across lanes. The counts — and the derived glitch power —
-/// are bit-identical whichever measurement backend produced them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+/// run, summed across lanes, and the backend that measured them. The counts
+/// — and the derived glitch power — are bit-identical whichever backend
+/// produced them.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LaneGlitchSummary {
+    /// The backend that measured the group.
+    pub backend: LaneBackend,
+    /// Why the slot schedule rejected the delay annotation, when it did —
+    /// the reason the group measured on the event-driven wheel.
+    pub slot_rejection: Option<SlotRejection>,
     /// Measured (general-delay) cycles across all lanes.
     pub measured_cycles: u64,
     /// Net transitions observed in those cycles, glitches included.
@@ -106,38 +133,42 @@ impl LaneGlitchSummary {
 }
 
 /// The measurement backend of a lane group: word-parallel when the delay
-/// annotation is slot-representable, scalar per sampling lane otherwise.
+/// annotation is slot-representable, scalar per sampling lane otherwise,
+/// with the slot schedule's rejection.
 enum GroupMeasure<'c> {
-    EventDriven(Box<EventDrivenSimulator<'c>>),
+    EventDriven(Box<EventDrivenSimulator<'c>>, Option<SlotRejection>),
     TimeSliced(Box<TimeSlicedSimulator<'c>>),
 }
 
 impl<'c> GroupMeasure<'c> {
-    fn new(circuit: &'c Circuit, config: &DipeConfig) -> Result<Self, DipeError> {
+    fn new(circuit: &'c Circuit, config: &DipeConfig) -> Self {
         let delays = config.delay_model.annotate(circuit);
-        match config.measure_mode {
-            MeasureMode::EventDriven => Ok(GroupMeasure::EventDriven(Box::new(
-                EventDrivenSimulator::with_delays(circuit, config.delay_model, &delays),
-            ))),
-            MeasureMode::TimeSliced => {
-                TimeSlicedSimulator::with_delays(circuit, config.delay_model, &delays)
-                    .map(|sim| GroupMeasure::TimeSliced(Box::new(sim)))
-                    .map_err(|rejection| DipeError::InvalidConfig {
-                        message: format!(
-                            "measure mode `time-sliced` cannot run delay model `{}`: \
-                             {rejection}; use `auto` or `event-driven`",
-                            config.delay_model.id()
-                        ),
-                    })
-            }
-            MeasureMode::Auto => Ok(
-                match TimeSlicedSimulator::with_delays(circuit, config.delay_model, &delays) {
-                    Ok(sim) => GroupMeasure::TimeSliced(Box::new(sim)),
-                    Err(_) => GroupMeasure::EventDriven(Box::new(
-                        EventDrivenSimulator::with_delays(circuit, config.delay_model, &delays),
-                    )),
-                },
+        match TimeSlicedSimulator::with_delays(circuit, config.delay_model, &delays) {
+            Ok(sim) => GroupMeasure::TimeSliced(Box::new(sim)),
+            Err(rejection) => GroupMeasure::EventDriven(
+                Box::new(EventDrivenSimulator::with_delays(
+                    circuit,
+                    config.delay_model,
+                    &delays,
+                )),
+                Some(rejection),
             ),
+        }
+    }
+
+    /// A summary of no measured cycles that names this backend.
+    fn empty_summary(&self) -> LaneGlitchSummary {
+        let (backend, slot_rejection) = match self {
+            GroupMeasure::TimeSliced(_) => (LaneBackend::TimeSliced, None),
+            GroupMeasure::EventDriven(_, rejection) => (LaneBackend::EventDriven, *rejection),
+        };
+        LaneGlitchSummary {
+            backend,
+            slot_rejection,
+            measured_cycles: 0,
+            total_transitions: 0,
+            settled_transitions: 0,
+            mean_glitch_power_w: 0.0,
         }
     }
 }
@@ -193,6 +224,7 @@ pub fn run_replicated_dipe_with_glitch(
     seed_offsets: &[u64],
 ) -> Result<(Vec<Result<Estimate, DipeError>>, LaneGlitchSummary), DipeError> {
     run_group(
+        GroupMeasure::new(circuit, config),
         circuit,
         config,
         input_model,
@@ -220,10 +252,19 @@ pub fn run_replicated_dipe_cancellable(
     seed_offsets: &[u64],
     cancel: &AtomicBool,
 ) -> Result<Vec<Result<Estimate, DipeError>>, DipeError> {
-    run_group(circuit, config, input_model, seed_offsets, cancel).map(|(estimates, _)| estimates)
+    run_group(
+        GroupMeasure::new(circuit, config),
+        circuit,
+        config,
+        input_model,
+        seed_offsets,
+        cancel,
+    )
+    .map(|(estimates, _)| estimates)
 }
 
 fn run_group(
+    mut measure: GroupMeasure<'_>,
     circuit: &Circuit,
     config: &DipeConfig,
     input_model: &InputModel,
@@ -255,7 +296,6 @@ fn run_group(
         .collect::<Result<Vec<Lane>, DipeError>>()?;
 
     let mut sim = BitParallelSimulator::new(circuit);
-    let mut measure = GroupMeasure::new(circuit, config)?;
     let calculator = PowerCalculator::new(circuit, config.technology, &config.capacitance);
 
     let mut pattern = vec![false; circuit.num_primary_inputs()];
@@ -263,7 +303,7 @@ fn run_group(
     let mut prev = vec![false; circuit.num_nets()];
     let mut scratch = GlitchActivity::zeroed(circuit.num_nets());
     let mut measuring: Vec<usize> = Vec::with_capacity(seed_offsets.len());
-    let mut glitch = LaneGlitchSummary::default();
+    let mut glitch = measure.empty_summary();
     let mut glitch_power_sum = 0.0f64;
 
     while lanes.iter().any(|lane| !lane.is_finished()) {
@@ -332,7 +372,7 @@ fn run_group(
                     record_measurement(lane, power_w, config, &estimator_name, &started);
                 }
             }
-            (GroupMeasure::EventDriven(full), sampling) => {
+            (GroupMeasure::EventDriven(full, _), sampling) => {
                 for &lane_index in sampling {
                     sim.lane_values_into(lane_index, &mut prev);
                     for (bit, word) in pattern.iter_mut().zip(&words) {
@@ -510,9 +550,10 @@ mod tests {
 
     #[test]
     fn measurement_backends_agree_on_estimates_and_glitch_summary() {
-        // Unit delay is slot-representable: auto resolves to the time-sliced
-        // word backend. Forcing event-driven must give bit-identical
-        // estimates AND the bit-identical aggregate glitch summary.
+        // Unit delay is slot-representable: the group measures on the
+        // time-sliced word backend. The same group built on the event-driven
+        // wheel must give bit-identical estimates AND the bit-identical
+        // aggregate glitch summary.
         let circuit = iscas89::load("s298").unwrap();
         let config = DipeConfig::default()
             .with_seed(23)
@@ -521,11 +562,15 @@ mod tests {
         let (auto, auto_glitch) =
             run_replicated_dipe_with_glitch(&circuit, &config, &InputModel::uniform(), &offsets)
                 .unwrap();
-        let (scalar, scalar_glitch) = run_replicated_dipe_with_glitch(
+        let delays = config.delay_model.annotate(&circuit);
+        let wheel = EventDrivenSimulator::with_delays(&circuit, config.delay_model, &delays);
+        let (scalar, scalar_glitch) = run_group(
+            GroupMeasure::EventDriven(Box::new(wheel), None),
             &circuit,
-            &config.clone().with_measure_mode(MeasureMode::EventDriven),
+            &config,
             &InputModel::uniform(),
             &offsets,
+            &AtomicBool::new(false),
         )
         .unwrap();
         for (offset, (a, s)) in offsets.iter().zip(auto.iter().zip(&scalar)) {
@@ -535,7 +580,16 @@ mod tests {
                 &format!("offset {offset}"),
             );
         }
-        assert_eq!(auto_glitch, scalar_glitch, "glitch summary diverged");
+        assert_eq!(auto_glitch.backend, LaneBackend::TimeSliced);
+        assert_eq!(scalar_glitch.backend, LaneBackend::EventDriven);
+        assert_eq!(
+            LaneGlitchSummary {
+                backend: LaneBackend::TimeSliced,
+                ..scalar_glitch
+            },
+            auto_glitch,
+            "glitch summary diverged"
+        );
         assert!(auto_glitch.measured_cycles > 0);
         assert!(auto_glitch.total_transitions >= auto_glitch.settled_transitions);
         assert!(auto_glitch.glitch_transitions() > 0, "unit delay glitches");
@@ -543,22 +597,33 @@ mod tests {
     }
 
     #[test]
-    fn forced_time_sliced_lanes_reject_unrepresentable_annotations() {
+    fn unrepresentable_annotations_fall_back_bit_exactly_to_the_wheel() {
         // Random delays have gcd ~1 over a 60–340 ps range: not
-        // slot-representable, so a forced time-sliced lane group fails with
-        // the fallback named rather than silently measuring on the wheel.
+        // slot-representable, so the group measures every sampling lane on
+        // the event-driven wheel, names the rejection, and still reproduces
+        // the scalar sessions bit for bit.
         let circuit = iscas89::load("s27").unwrap();
         let config = DipeConfig::default()
-            .with_seed(1)
-            .with_delay_model(logicsim::DelayModel::random(42))
-            .with_measure_mode(MeasureMode::TimeSliced);
-        match run_replicated_dipe(&circuit, &config, &InputModel::uniform(), &[0, 1]) {
-            Err(DipeError::InvalidConfig { message }) => {
-                assert!(message.contains("time-sliced"), "{message}");
-                assert!(message.contains("event-driven"), "{message}");
-            }
-            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-            Ok(_) => panic!("expected InvalidConfig, the lane group ran"),
+            .with_seed(1997)
+            .with_delay_model(logicsim::DelayModel::random(7));
+        let offsets: Vec<u64> = (1..=4).collect();
+        let (replicated, glitch) =
+            run_replicated_dipe_with_glitch(&circuit, &config, &InputModel::uniform(), &offsets)
+                .unwrap();
+        assert_eq!(glitch.backend, LaneBackend::EventDriven);
+        assert!(
+            matches!(
+                glitch.slot_rejection,
+                Some(SlotRejection::HorizonExceeded { .. })
+            ),
+            "{:?}",
+            glitch.slot_rejection
+        );
+        assert!(glitch.glitch_transitions() > 0, "random delays glitch");
+        for (&offset, result) in offsets.iter().zip(&replicated) {
+            let lane = result.as_ref().expect("replication converges on s27");
+            let scalar = scalar_estimate(&circuit, &config, offset).unwrap();
+            assert_estimates_match(lane, &scalar, &format!("random-delay offset {offset}"));
         }
     }
 

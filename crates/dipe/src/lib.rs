@@ -30,9 +30,9 @@
 //! [`PowerEstimator::start`] opens a re-entrant [`EstimationSession`] whose
 //! [`step`](EstimationSession::step) advances the run by a bounded
 //! [`CycleBudget`] and reports [`Progress`] — incremental progress,
-//! deadlines and cancellation instead of a monolithic blocking call. Every
-//! session finishes with the same [`Estimate`] record, so estimators compare
-//! column-for-column. The batch [`Engine`] ([`engine`]) runs whole job lists
+//! deadlines and cancellation — and [`PowerEstimator::run`] drives one to
+//! completion in a single blocking call. Every session finishes with the
+//! same [`Estimate`] record, so estimators compare column-for-column. The batch [`Engine`] ([`engine`]) runs whole job lists
 //! (circuit × estimator × seed) across threads with deterministic per-job
 //! seeding — it powers the Table 1 and Table 2 sweeps.
 //!
@@ -89,20 +89,20 @@ pub mod shards;
 
 pub use baselines::{DecoupledCombinationalEstimator, FixedWarmupEstimator};
 pub use checkpoint::{InputStreamState, SamplerState, SessionCheckpoint, CHECKPOINT_VERSION};
-pub use config::{CriterionKind, DipeConfig, EvalMode, MeasureMode};
+pub use config::{CriterionKind, DipeConfig, MeasureMode};
 pub use engine::{Engine, EstimationJob, JobOutcome, ReplicatedJob, ReplicatedOutcome};
 pub use error::DipeError;
 pub use estimate::{
     run_to_completion, CycleBudget, Diagnostics, Estimate, EstimationSession,
     NodeBreakdownDiagnostics, PowerEstimator, Progress, SessionPhase, SimProfile,
 };
-pub use estimator::{DipeEstimator, DipeResult};
+pub use estimator::DipeEstimator;
 pub use independence::{IndependenceSelection, IntervalTrial};
 pub use lanes::{
     run_replicated_dipe, run_replicated_dipe_cancellable, run_replicated_dipe_with_glitch,
-    LaneGlitchSummary,
+    LaneBackend, LaneGlitchSummary,
 };
-pub use reference::{LongSimulationReference, ReferenceResult};
+pub use reference::LongSimulationReference;
 pub use remote::{
     retry_backoff, Assignment, BlockOutcome, FaultPlan, RemoteBlock, RemoteStats, StreamMerger,
     StreamWorker,

@@ -6,59 +6,19 @@
 //! with a sample that is orders of magnitude smaller.
 
 use netlist::Circuit;
-use power::PowerSummary;
 
 use crate::config::DipeConfig;
 use crate::error::DipeError;
-use crate::estimate::{
-    run_to_completion, Diagnostics, EstimationSession, PowerEstimator, ReferenceSession,
-};
+use crate::estimate::{EstimationSession, PowerEstimator, ReferenceSession};
 use crate::input::InputModel;
 use crate::sampler::PowerSampler;
 
-/// Result of a long consecutive-cycle reference simulation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ReferenceResult {
-    cycles: usize,
-    summary: PowerSummary,
-    elapsed_seconds: f64,
-}
-
-impl ReferenceResult {
-    /// The reference average power in watts.
-    pub fn mean_power_w(&self) -> f64 {
-        self.summary.mean_w()
-    }
-
-    /// The reference average power in milliwatts.
-    pub fn mean_power_mw(&self) -> f64 {
-        self.summary.mean_mw()
-    }
-
-    /// Number of consecutive cycles that were measured.
-    pub fn cycles(&self) -> usize {
-        self.cycles
-    }
-
-    /// The coefficient of variation of per-cycle power — the quantity that
-    /// determines how many samples any Monte-Carlo estimator needs.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        self.summary.coefficient_of_variation()
-    }
-
-    /// Full per-cycle power summary (min/max/variance).
-    pub fn summary(&self) -> PowerSummary {
-        self.summary
-    }
-
-    /// Wall-clock seconds the reference simulation took.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed_seconds
-    }
-}
-
 /// Configuration of the reference simulation: just the number of consecutive
-/// cycles to measure.
+/// cycles to measure. The `config` a session starts with supplies the
+/// technology, capacitance and delay models plus the seed and warm-up
+/// length; its accuracy-related fields are ignored. The estimate's
+/// [`Diagnostics::Reference`](crate::Diagnostics::Reference) carries the
+/// full per-cycle power summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LongSimulationReference {
     cycles: usize,
@@ -83,31 +43,6 @@ impl LongSimulationReference {
     /// Number of cycles this reference will measure.
     pub fn cycles(&self) -> usize {
         self.cycles
-    }
-
-    /// Runs the reference simulation to completion — a thin wrapper driving
-    /// a [session](PowerEstimator::start) with an unbounded budget. The
-    /// `config` supplies the technology, capacitance and delay models plus
-    /// the seed and warm-up length; the accuracy-related fields are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and input-model errors from the sampler.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        config: &DipeConfig,
-        input_model: &InputModel,
-    ) -> Result<ReferenceResult, DipeError> {
-        let estimate = run_to_completion(self.start(circuit, config, input_model, 0)?)?;
-        match estimate.diagnostics {
-            Diagnostics::Reference { summary } => Ok(ReferenceResult {
-                cycles: self.cycles,
-                summary,
-                elapsed_seconds: estimate.elapsed_seconds,
-            }),
-            _ => unreachable!("a reference session always attaches reference diagnostics"),
-        }
     }
 }
 
@@ -141,7 +76,16 @@ impl PowerEstimator for LongSimulationReference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{Diagnostics, Estimate};
     use netlist::iscas89;
+    use power::PowerSummary;
+
+    fn summary(estimate: &Estimate) -> PowerSummary {
+        match estimate.diagnostics {
+            Diagnostics::Reference { summary } => summary,
+            ref other => panic!("expected reference diagnostics, got {other:?}"),
+        }
+    }
 
     #[test]
     fn reference_produces_stable_positive_power() {
@@ -151,10 +95,11 @@ mod tests {
             .run(&c, &config, &InputModel::uniform())
             .unwrap();
         assert!(a.mean_power_mw() > 0.0);
-        assert_eq!(a.cycles(), 20_000);
-        assert!(a.coefficient_of_variation() > 0.0);
-        assert!(a.elapsed_seconds() >= 0.0);
-        assert!(a.summary().max_w() >= a.summary().min_w());
+        assert_eq!(a.sample_size, 20_000);
+        assert_eq!(a.cycle_counts.measured_cycles, 20_000);
+        assert!(summary(&a).coefficient_of_variation() > 0.0);
+        assert!(a.elapsed_seconds >= 0.0);
+        assert!(summary(&a).max_w() >= summary(&a).min_w());
 
         // Two independent halves of the same length agree within a couple of
         // percent — the reference itself is converged at this length.
@@ -165,7 +110,7 @@ mod tests {
                 &InputModel::uniform(),
             )
             .unwrap();
-        let rel = (a.mean_power_w() - b.mean_power_w()).abs() / a.mean_power_w();
+        let rel = (a.mean_power_w - b.mean_power_w).abs() / a.mean_power_w;
         assert!(rel < 0.05, "two references differ by {rel}");
     }
 
@@ -190,6 +135,6 @@ mod tests {
         let b = LongSimulationReference::new(2_000)
             .run(&c, &config, &InputModel::uniform())
             .unwrap();
-        assert_eq!(a.mean_power_w(), b.mean_power_w());
+        assert_eq!(a.mean_power_w, b.mean_power_w);
     }
 }

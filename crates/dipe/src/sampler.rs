@@ -6,18 +6,22 @@
 //! handed to the general-delay simulator — the event-driven timing wheel,
 //! [`EventDrivenSimulator`] — and the dissipated power of that one cycle is
 //! computed from the observed transitions via Eq. (1). A scalar sample is
-//! one replication, so it always measures on the wheel: scalar, sharded and
-//! remote runs ignore [`MeasureMode`](crate::MeasureMode), which selects the
-//! backend of lane groups only (`crate::lanes`), where the 64 lanes of the
-//! time-sliced backend carry distinct samples. The [`PowerSampler`]
-//! encapsulates this machinery and keeps the cycle accounting that the
-//! efficiency comparisons need.
+//! one replication, so it always measures on the wheel; only lane groups
+//! (`crate::lanes`), whose 64 lanes carry distinct samples, measure on the
+//! time-sliced backend. The zero-delay phase runs on whichever of the two
+//! bit-identical compiled kernels is faster for the circuit
+//! ([`logicsim::prefers_partitioned`]). The [`PowerSampler`] encapsulates
+//! this machinery and keeps the cycle accounting that the efficiency
+//! comparisons need.
 
-use logicsim::{CompiledSimulator, EventDrivenSimulator, GlitchActivity, PartitionedSimulator};
-use netlist::Circuit;
+use logicsim::{
+    prefers_partitioned, CompiledSimulator, EventDrivenSimulator, GlitchActivity,
+    PartitionedSimulator,
+};
+use netlist::{Circuit, CompiledCircuit};
 use power::PowerCalculator;
 
-use crate::config::{DipeConfig, EvalMode};
+use crate::config::DipeConfig;
 use crate::error::DipeError;
 use crate::input::{InputModel, InputStream};
 
@@ -38,10 +42,10 @@ impl CycleCounts {
     }
 }
 
-/// The zero-delay backend the decorrelation cycles run on, selected by
-/// [`EvalMode`]. Both variants execute the same compiled instruction stream
-/// and are bit-identical; [`PartitionedSimulator`] walks it in cache-resident
-/// level tiles, which pays off from ~10^5 gates up.
+/// The zero-delay backend the decorrelation cycles run on. Both variants
+/// execute the same compiled instruction stream and are bit-identical;
+/// [`PartitionedSimulator`] walks it in cache-resident level tiles, which
+/// pays off on the fanin-≤ 2 programs [`prefers_partitioned`] accepts.
 #[derive(Debug)]
 enum ZeroSim<'c> {
     Compiled(CompiledSimulator<'c>),
@@ -49,25 +53,11 @@ enum ZeroSim<'c> {
 }
 
 impl<'c> ZeroSim<'c> {
-    fn new(circuit: &'c Circuit, mode: EvalMode) -> ZeroSim<'c> {
-        match mode {
-            EvalMode::Compiled => ZeroSim::Compiled(CompiledSimulator::new(circuit)),
-            EvalMode::Partitioned => ZeroSim::Partitioned(PartitionedSimulator::new(circuit)),
-        }
-    }
-
-    fn with_program(
-        circuit: &'c Circuit,
-        program: netlist::CompiledCircuit,
-        mode: EvalMode,
-    ) -> ZeroSim<'c> {
-        match mode {
-            EvalMode::Compiled => {
-                ZeroSim::Compiled(CompiledSimulator::with_program(circuit, program))
-            }
-            EvalMode::Partitioned => {
-                ZeroSim::Partitioned(PartitionedSimulator::with_program(circuit, program))
-            }
+    fn for_program(circuit: &'c Circuit, program: CompiledCircuit) -> ZeroSim<'c> {
+        if prefers_partitioned(&program) {
+            ZeroSim::Partitioned(PartitionedSimulator::with_program(circuit, program))
+        } else {
+            ZeroSim::Compiled(CompiledSimulator::with_program(circuit, program))
         }
     }
 
@@ -112,13 +102,14 @@ impl<'c> ZeroSim<'c> {
 /// Generates per-cycle power observations from a circuit under an input
 /// model, using the two-phase zero-delay / general-delay scheme.
 ///
-/// The zero-delay phase runs on a compiled backend selected by
-/// [`EvalMode`] — the straight-line [`CompiledSimulator`] by default, the
-/// cache-blocked [`PartitionedSimulator`] for megagate circuits; both are
-/// bit-exact with the interpreted [`logicsim::ZeroDelaySimulator`] — and
-/// draws input patterns into reused buffers, so decorrelation cycles — the
-/// dominant cost of the whole estimator (Section IV) — perform no per-cycle
-/// allocation and no per-gate dispatch.
+/// The zero-delay phase runs on a compiled backend picked once per sampler
+/// by [`prefers_partitioned`] — the cache-blocked [`PartitionedSimulator`]
+/// for fanin-≤ 2 programs of 64 or more instructions, the straight-line
+/// [`CompiledSimulator`] otherwise; both are bit-exact with the interpreted
+/// [`logicsim::ZeroDelaySimulator`] — and draws input patterns into reused
+/// buffers, so decorrelation cycles — the dominant cost of the whole
+/// estimator (Section IV) — perform no per-cycle allocation and no
+/// per-gate dispatch.
 #[derive(Debug)]
 pub struct PowerSampler<'c> {
     circuit: &'c Circuit,
@@ -150,20 +141,14 @@ impl<'c> PowerSampler<'c> {
         input_model: &InputModel,
         seed_offset: u64,
     ) -> Result<Self, DipeError> {
-        config.validate()?;
-        let stream = input_model.stream(circuit, config.seed.wrapping_add(seed_offset))?;
-        let calculator = PowerCalculator::new(circuit, config.technology, &config.capacitance);
-        let delays = config.delay_model.annotate(circuit);
-        Ok(PowerSampler {
+        Self::with_compiled(
             circuit,
-            zero: ZeroSim::new(circuit, config.eval_mode),
-            full: EventDrivenSimulator::with_delays(circuit, config.delay_model, &delays),
-            calculator,
-            stream,
-            counts: CycleCounts::default(),
-            pattern: vec![false; circuit.num_primary_inputs()],
-            prev: vec![false; circuit.num_nets()],
-        })
+            config,
+            input_model,
+            seed_offset,
+            CompiledCircuit::compile(circuit),
+            &config.delay_model.annotate(circuit),
+        )
     }
 
     /// Like [`new`](Self::new), but reuses a previously compiled zero-delay
@@ -186,7 +171,7 @@ impl<'c> PowerSampler<'c> {
         config: &DipeConfig,
         input_model: &InputModel,
         seed_offset: u64,
-        program: netlist::CompiledCircuit,
+        program: CompiledCircuit,
         delays: &netlist::GateDelays,
     ) -> Result<Self, DipeError> {
         config.validate()?;
@@ -194,7 +179,7 @@ impl<'c> PowerSampler<'c> {
         let calculator = PowerCalculator::new(circuit, config.technology, &config.capacitance);
         Ok(PowerSampler {
             circuit,
-            zero: ZeroSim::with_program(circuit, program, config.eval_mode),
+            zero: ZeroSim::for_program(circuit, program),
             full: EventDrivenSimulator::with_delays(circuit, config.delay_model, delays),
             calculator,
             stream,
@@ -379,13 +364,25 @@ impl<'c> PowerSampler<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MeasureMode;
+    use netlist::generator::{generate_tiled, TiledConfig};
     use netlist::iscas89;
 
     fn sampler_for(name: &str, seed: u64) -> (netlist::Circuit, DipeConfig) {
         let c = iscas89::load(name).unwrap();
         let config = DipeConfig::default().with_seed(seed);
         (c, config)
+    }
+
+    /// A fanin-2 generated circuit of exactly `gates` gates.
+    fn tiled(gates: usize) -> Circuit {
+        generate_tiled(&TiledConfig::new("sampler_tiles", gates).with_seed(3)).unwrap()
+    }
+
+    /// A sampler on the compiled kernel, whichever kernel the rule picks.
+    fn compiled_sampler<'c>(c: &'c Circuit, config: &DipeConfig) -> PowerSampler<'c> {
+        let mut sampler = PowerSampler::new(c, config, &InputModel::uniform(), 0).unwrap();
+        sampler.zero = ZeroSim::Compiled(CompiledSimulator::new(c));
+        sampler
     }
 
     #[test]
@@ -425,35 +422,56 @@ mod tests {
     }
 
     #[test]
+    fn decorrelation_backend_follows_the_fanin_rule() {
+        let tiles_settled = |c: &Circuit| {
+            let config = DipeConfig::default().with_seed(1);
+            let mut s = PowerSampler::new(c, &config, &InputModel::uniform(), 0).unwrap();
+            s.advance(8);
+            s.sim_profile().tiles_settled
+        };
+        // A fanin-2 program runs the partitioned kernel from the size floor
+        // up ...
+        let floor = logicsim::PARTITIONED_MIN_INSTRUCTIONS;
+        assert_eq!(tiles_settled(&tiled(floor - 1)), 0);
+        assert!(tiles_settled(&tiled(floor)) > 0);
+        // ... catalogue circuits (wide gates, or s27 below the floor) the
+        // compiled one.
+        for name in ["s27", "s298", "s1494"] {
+            assert_eq!(tiles_settled(&iscas89::load(name).unwrap()), 0, "{name}");
+        }
+    }
+
+    #[test]
     fn partitioned_mode_is_bit_identical_to_compiled() {
-        for name in ["s27", "s298", "s641"] {
-            let c = iscas89::load(name).unwrap();
-            let compiled_cfg = DipeConfig::default().with_seed(11);
-            let partitioned_cfg = compiled_cfg.clone().with_eval_mode(EvalMode::Partitioned);
-            let mut a = PowerSampler::new(&c, &compiled_cfg, &InputModel::uniform(), 0).unwrap();
-            let mut b = PowerSampler::new(&c, &partitioned_cfg, &InputModel::uniform(), 0).unwrap();
+        for gates in [64usize, 700, 3_000] {
+            let c = tiled(gates);
+            let config = DipeConfig::default().with_seed(11);
+            let mut a = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            let mut b = compiled_sampler(&c, &config);
             a.advance(32);
             b.advance(32);
             assert_eq!(
                 a.collect_sequence(40, 2),
                 b.collect_sequence(40, 2),
-                "{name}: partitioned decorrelation diverged from compiled"
+                "{gates} gates: partitioned decorrelation diverged from compiled"
             );
             assert_eq!(a.cycle_counts(), b.cycle_counts());
+            assert!(a.sim_profile().tiles_settled > 0, "{gates} gates");
+            assert_eq!(b.sim_profile().tiles_settled, 0, "{gates} gates");
         }
     }
 
     #[test]
     fn partitioned_mode_snapshots_restore_across_modes() {
-        let (c, config) = sampler_for("s298", 5);
-        let partitioned = config.clone().with_eval_mode(EvalMode::Partitioned);
-        let mut a = PowerSampler::new(&c, &partitioned, &InputModel::uniform(), 0).unwrap();
+        let c = tiled(700);
+        let config = DipeConfig::default().with_seed(5);
+        let mut a = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
         a.advance(48);
         let snap = a.snapshot();
         let expected = a.collect_sequence(20, 1);
-        // A compiled-mode sampler restored from a partitioned-mode snapshot
-        // continues the identical observation sequence.
-        let mut b = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+        // A compiled-kernel sampler restored from a partitioned-kernel
+        // snapshot continues the identical observation sequence.
+        let mut b = compiled_sampler(&c, &config);
         b.restore(&snap).unwrap();
         assert_eq!(b.collect_sequence(20, 1), expected);
     }
@@ -501,23 +519,16 @@ mod tests {
     #[test]
     fn scalar_samples_measure_on_the_event_driven_wheel() {
         // Unit delay is slot-representable, yet a scalar sample is one
-        // replication: it measures on the wheel under the default mode, and
-        // a forced time-sliced mode (the lane groups' backend) is ignored.
+        // replication: it measures on the wheel, never on the lane groups'
+        // time-sliced backend.
         let (c, config) = sampler_for("s27", 1);
-        let unit = config.with_delay_model(logicsim::DelayModel::Unit(100));
-        for mode in [MeasureMode::default(), MeasureMode::TimeSliced] {
-            let config = unit.clone().with_measure_mode(mode);
-            let mut s = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
-            s.advance(16);
-            let _ = s.collect_sequence(20, 1);
-            let profile = s.sim_profile();
-            assert_eq!(profile.time_sliced_cycles, 0, "{mode}");
-            assert_eq!(
-                profile.levelized_cycles + profile.wheel_cycles,
-                20,
-                "{mode}"
-            );
-        }
+        let config = config.with_delay_model(logicsim::DelayModel::Unit(100));
+        let mut s = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+        s.advance(16);
+        let _ = s.collect_sequence(20, 1);
+        let profile = s.sim_profile();
+        assert_eq!(profile.time_sliced_cycles, 0);
+        assert_eq!(profile.levelized_cycles + profile.wheel_cycles, 20);
     }
 
     #[test]

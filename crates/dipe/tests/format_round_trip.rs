@@ -8,8 +8,8 @@
 //! float-summation slack and nothing more.
 
 use dipe::input::InputModel;
-use dipe::{DipeConfig, DipeEstimator, EvalMode, PowerSampler};
-use netlist::generator::{generate, GeneratorConfig};
+use dipe::{DipeConfig, DipeEstimator, PowerEstimator, PowerSampler};
+use netlist::generator::{generate, generate_tiled, GeneratorConfig, TiledConfig};
 use testkit::assert_power_eq;
 
 fn round_trip_pair(seed: u64) -> (netlist::Circuit, netlist::Circuit) {
@@ -61,23 +61,26 @@ fn blif_round_trip_preserves_the_full_estimate() {
         .run(&original, &config, &model)
         .unwrap();
     let b = DipeEstimator::new().run(&back, &config, &model).unwrap();
-    assert_power_eq(a.mean_power_w(), b.mean_power_w(), "mean power");
-    assert_eq!(a.sample_size(), b.sample_size());
+    assert_power_eq(a.mean_power_w, b.mean_power_w, "mean power");
+    assert_eq!(a.sample_size, b.sample_size);
     assert_eq!(a.independence_interval(), b.independence_interval());
 }
 
 #[test]
 fn blif_round_trip_preserves_the_estimate_in_partitioned_mode() {
-    let (original, back) = round_trip_pair(9);
-    let config = DipeConfig::default()
-        .with_seed(9)
-        .with_accuracy(0.15, 0.95)
-        .with_eval_mode(EvalMode::Partitioned);
+    // A fanin-2 generated circuit above the size floor decorrelates on the
+    // partitioned kernel, before and after the round trip.
+    let original = generate_tiled(&TiledConfig::new("rt_tiled", 400).with_seed(9)).unwrap();
+    let back = netlist::blif::parse(&netlist::blif::write(&original), original.name()).unwrap();
+    let config = DipeConfig::default().with_seed(9).with_accuracy(0.15, 0.95);
     let model = InputModel::uniform();
     let a = DipeEstimator::new()
         .run(&original, &config, &model)
         .unwrap();
     let b = DipeEstimator::new().run(&back, &config, &model).unwrap();
-    assert_power_eq(a.mean_power_w(), b.mean_power_w(), "mean power");
-    assert_eq!(a.sample_size(), b.sample_size());
+    assert_power_eq(a.mean_power_w, b.mean_power_w, "mean power");
+    assert_eq!(a.sample_size, b.sample_size);
+    for estimate in [&a, &b] {
+        assert!(estimate.sim_profile.unwrap().tiles_settled > 0);
+    }
 }

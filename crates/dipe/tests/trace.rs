@@ -214,26 +214,3 @@ fn sim_profile_accounts_for_every_measured_cycle() {
     assert_eq!(profile.time_sliced_cycles, 0);
     assert!(profile.total_evals() > 0);
 }
-
-#[test]
-fn sim_profile_reports_the_forced_event_driven_backend() {
-    use dipe::MeasureMode;
-    let circuit = iscas89::load("s27").unwrap();
-    let config = config().with_measure_mode(MeasureMode::EventDriven);
-    let mut session = DipeEstimator::new()
-        .start(&circuit, &config, &InputModel::uniform(), 0)
-        .unwrap();
-    let estimate = loop {
-        match session.step(CycleBudget::unbounded()).unwrap() {
-            Progress::Running { .. } => {}
-            Progress::Done(estimate) => break estimate,
-        }
-    };
-    let profile = estimate.sim_profile.unwrap();
-    assert_eq!(
-        profile.levelized_cycles + profile.wheel_cycles,
-        estimate.cycle_counts.measured_cycles
-    );
-    assert_eq!(profile.time_sliced_cycles, 0);
-    assert!(profile.total_evals() > 0);
-}

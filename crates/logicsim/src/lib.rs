@@ -9,10 +9,13 @@
 //!   one-off stepping.
 //! * [`CompiledSimulator`] — the compiled scalar zero-delay path executing a
 //!   [`netlist::CompiledCircuit`] flat instruction stream with no per-gate
-//!   dispatch. The estimator's decorrelation cycles run here.
+//!   dispatch. The estimator's decorrelation cycles run here unless
+//!   [`prefers_partitioned`] picks the backend below.
 //! * [`PartitionedSimulator`] — the same instruction stream walked level by
-//!   level in cache-resident tiles with fanin-specialised kernels; the
-//!   megagate (10^5+) zero-delay backend.
+//!   level in cache-resident tiles with fanin-specialised kernels. It is
+//!   faster than the compiled loop on fanin-≤ 2 programs of 64 or more
+//!   instructions ([`prefers_partitioned`]), which is where the estimator
+//!   runs its decorrelation cycles on it.
 //! * [`BitParallelSimulator`] — 64 independent replications at once, one bit
 //!   per lane in a `u64` word per net, with transition counting via XOR +
 //!   `count_ones` ([`WordActivity`]). Batch replicated runs map onto lanes.
@@ -76,7 +79,6 @@ mod partitioned;
 mod state;
 mod time_sliced;
 mod trace;
-mod value;
 mod variable_delay;
 mod zero_delay;
 
@@ -84,12 +86,12 @@ pub use compiled::{broadcast, pack_lane_bit, BitParallelSimulator, CompiledSimul
 pub use event::{Event, EventQueue};
 pub use event_driven::{EventDrivenSimulator, SimCounters};
 pub use netlist::{DelayModel, GateDelays};
-pub use partitioned::{PartitionedSimulator, TILE_INSTRUCTIONS};
-pub use state::{random_input_vector, random_state_vector, SimState};
-pub use time_sliced::{SlotRejection, SlotSchedule, TimeSlicedCounters, TimeSlicedSimulator};
-pub use trace::{
-    ActivityAccumulator, CycleActivity, GlitchActivity, WordActivity, WordGlitchActivity,
+pub use partitioned::{
+    prefers_partitioned, PartitionedSimulator, PARTITIONED_MAX_FANIN, PARTITIONED_MIN_INSTRUCTIONS,
+    TILE_INSTRUCTIONS,
 };
-pub use value::LogicValue;
+pub use state::{random_input_vector, SimState};
+pub use time_sliced::{SlotRejection, SlotSchedule, TimeSlicedCounters, TimeSlicedSimulator};
+pub use trace::{CycleActivity, GlitchActivity, WordActivity, WordGlitchActivity};
 pub use variable_delay::VariableDelaySimulator;
 pub use zero_delay::{compute_next_state, ZeroDelaySimulator};

@@ -22,8 +22,11 @@
 //! in this module enforce on the ISCAS catalogue and on random and tiled
 //! generator circuits.
 //!
-//! Use this backend for 10^5-gate-and-up circuits; below that the plain
-//! compiled settle loop is just as fast.
+//! Which of the two kernels is faster depends on fanin, not gate count: a
+//! wide gate escapes the micro-op stream to the generic fold, so circuits
+//! with many of them settle faster on the straight-line compiled loop.
+//! [`prefers_partitioned`] is the rule the estimator picks its decorrelation
+//! backend by; its thresholds carry the measurements behind it.
 
 use netlist::{Circuit, CompiledCircuit, Opcode};
 use rand::Rng;
@@ -35,6 +38,48 @@ use crate::trace::CycleActivity;
 /// Instructions per tile: 2048 micro-ops (32 KiB) plus their touched operand
 /// values comfortably fit current L1/L2 caches.
 pub const TILE_INSTRUCTIONS: usize = 2048;
+
+/// The widest instruction (operand count) a program may hold for
+/// [`prefers_partitioned`] to pick this backend.
+///
+/// Measured as `step_state_only` throughput over 2·10⁷/gates cycles, best
+/// of 3 interleaved runs, release build on a 2-vCPU host (ratios are taken
+/// within one run; host speed drifts 20–40 % between runs):
+///
+/// | circuits | gates | gates with > 2 inputs | partitioned ÷ compiled |
+/// |---|---|---|---|
+/// | s298, s386, s1494, s5378, s9234, s15850 | 119–9 772 | 39–58 % | 0.73–0.96 |
+/// | s27 | 10 | 0 % | 0.76–0.78 |
+/// | `generate_tiled`, 12–30 gates | 12–30 | 0 % | 0.85–0.98 |
+/// | `generate_tiled`, 40–300 000 gates | 40–300 000 | 0 % | 1.10–1.62 |
+///
+/// Gate count does not separate the classes; fanin does. End to end on two
+/// 10⁵-gate tiles (`--delay-model unit:100 --shards 1`, 6 alternating
+/// pairs), the partitioned backend lowered the run time in 6 of 6 pairs by
+/// 2.8–15.6 % (median 7.4 %) with the same estimate bits.
+pub const PARTITIONED_MAX_FANIN: usize = 2;
+
+/// The fewest instructions a program must hold for [`prefers_partitioned`]
+/// to pick this backend. Fanin-2 programs below about 35 instructions
+/// settle faster on the compiled loop (s27 and the 12–30-gate tiles in the
+/// table of [`PARTITIONED_MAX_FANIN`]); end to end, s27 at `--error 0.01`
+/// ran slower partitioned in 6 of 6 seeds. The crossover lies between 30
+/// and 40 gates, so the floor sits above it.
+pub const PARTITIONED_MIN_INSTRUCTIONS: usize = 64;
+
+/// Whether `program` decorrelates faster on [`PartitionedSimulator`] than on
+/// [`crate::CompiledSimulator`]: no instruction has more than
+/// [`PARTITIONED_MAX_FANIN`] operands, so every gate runs a fanin-specialised
+/// micro-op, and the program holds at least [`PARTITIONED_MIN_INSTRUCTIONS`]
+/// instructions. Both backends are bit-identical, so the answer moves speed
+/// only, never a result.
+pub fn prefers_partitioned(program: &CompiledCircuit) -> bool {
+    let instructions = program.instructions();
+    instructions.len() >= PARTITIONED_MIN_INSTRUCTIONS
+        && instructions
+            .iter()
+            .all(|i| usize::from(i.num_operands) <= PARTITIONED_MAX_FANIN)
+}
 
 /// Fanin-specialised micro-op shape. `Wide` escapes to the generic
 /// instruction evaluator for gates with more than two operands.
@@ -165,8 +210,8 @@ fn capture_latches<W: LogicWord>(program: &CompiledCircuit, values: &mut [W], sc
 /// Zero-delay simulator with a partitioned levelized settle pass.
 ///
 /// Drop-in replacement for [`crate::CompiledSimulator`] (same constructor
-/// and stepping API, bit-identical results); preferred for circuits in the
-/// 10^5–10^6+ gate range.
+/// and stepping API, bit-identical results); faster on the programs
+/// [`prefers_partitioned`] accepts.
 #[derive(Debug, Clone)]
 pub struct PartitionedSimulator<'c> {
     circuit: &'c Circuit,

@@ -131,14 +131,6 @@ pub fn random_input_vector<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Draws a uniformly random present-state vector. Useful to start the Markov
-/// chain "somewhere" before a warm-up period.
-pub fn random_state_vector<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Vec<bool> {
-    (0..circuit.num_flip_flops())
-        .map(|_| rng.gen_bool(0.5))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +173,6 @@ mod tests {
         let c = iscas89::load("s27").unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(random_input_vector(&c, 0.5, &mut rng).len(), 4);
-        assert_eq!(random_state_vector(&c, &mut rng).len(), 3);
     }
 
     #[test]

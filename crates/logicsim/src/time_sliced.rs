@@ -148,10 +148,9 @@ impl std::error::Error for SlotRejection {}
 /// arrival-time slot grid of the [`TimeSlicedSimulator`].
 ///
 /// Construction ([`try_from_delays`](Self::try_from_delays)) is the
-/// slot-representability predicate the whole stack dispatches on: the DIPE
-/// sampler and the replicated lane runner select the time-sliced backend
-/// exactly when it succeeds, and the CLI refuses `--lanes` combinations it
-/// rejects.
+/// slot-representability predicate: the replicated lane runner measures on
+/// the time-sliced backend exactly when it succeeds and reports the
+/// [`SlotRejection`] when it does not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotSchedule {
     /// Picoseconds per slot (the gcd of the positive delays; 0 for an
@@ -220,13 +219,6 @@ impl SlotSchedule {
         })
     }
 
-    /// Whether `model`'s annotation of `circuit` is slot-representable —
-    /// the dispatch predicate used by the sampler, the lane runner and the
-    /// CLI.
-    pub fn supports(circuit: &Circuit, model: DelayModel) -> Result<Self, SlotRejection> {
-        Self::try_from_delays(&model.annotate(circuit))
-    }
-
     /// Picoseconds per slot: the gcd of the annotation's delays (0 for an
     /// all-zero annotation).
     pub fn granularity_ps(&self) -> u64 {
@@ -271,7 +263,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 ///
 /// Construction fails with a [`SlotRejection`] when the delay annotation is
 /// not slot-representable; callers fall back to the scalar backend (the
-/// DIPE sampler does this automatically).
+/// DIPE lane runner does this automatically).
 #[derive(Debug)]
 pub struct TimeSlicedSimulator<'c> {
     circuit: &'c Circuit,

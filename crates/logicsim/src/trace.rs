@@ -1,6 +1,6 @@
-//! Per-cycle switching-activity records and multi-cycle accumulation.
+//! Per-cycle switching-activity records.
 
-use netlist::{Circuit, NetId};
+use netlist::NetId;
 
 /// The switching activity observed in one clock cycle: how many times each
 /// net changed value.
@@ -378,69 +378,9 @@ impl WordGlitchActivity {
     }
 }
 
-/// Accumulates switching activity over many cycles, yielding per-net toggle
-/// densities (average transitions per cycle). This is the quantity
-/// probabilistic power estimators call the *transition density*; the
-/// decoupled baseline estimator uses it for latch nets.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ActivityAccumulator {
-    totals: Vec<u64>,
-    cycles: u64,
-}
-
-impl ActivityAccumulator {
-    /// Creates an accumulator for the given circuit.
-    pub fn new(circuit: &Circuit) -> Self {
-        ActivityAccumulator {
-            totals: vec![0; circuit.num_nets()],
-            cycles: 0,
-        }
-    }
-
-    /// Adds one cycle of activity.
-    pub fn add(&mut self, activity: &CycleActivity) {
-        debug_assert_eq!(activity.per_net().len(), self.totals.len());
-        for (total, &t) in self.totals.iter_mut().zip(activity.per_net()) {
-            *total += u64::from(t);
-        }
-        self.cycles += 1;
-    }
-
-    /// Number of accumulated cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Total transitions observed on a net over all accumulated cycles.
-    pub fn total_transitions_on(&self, net: NetId) -> u64 {
-        self.totals[net.index()]
-    }
-
-    /// Average transitions per cycle for each net (the toggle density).
-    /// Returns all zeros when no cycles have been accumulated.
-    pub fn toggle_densities(&self) -> Vec<f64> {
-        if self.cycles == 0 {
-            return vec![0.0; self.totals.len()];
-        }
-        self.totals
-            .iter()
-            .map(|&t| t as f64 / self.cycles as f64)
-            .collect()
-    }
-
-    /// Average total transitions per cycle across the whole circuit.
-    pub fn mean_transitions_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.totals.iter().sum::<u64>() as f64 / self.cycles as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::iscas89;
 
     #[test]
     fn cycle_activity_basic_accessors() {
@@ -495,22 +435,5 @@ mod tests {
     #[should_panic(expected = "same nets")]
     fn glitch_activity_rejects_mismatched_lengths() {
         GlitchActivity::from_counts(CycleActivity::zeroed(2), CycleActivity::zeroed(3));
-    }
-
-    #[test]
-    fn accumulator_averages() {
-        let c = iscas89::load("s27").unwrap();
-        let mut acc = ActivityAccumulator::new(&c);
-        assert_eq!(acc.toggle_densities(), vec![0.0; c.num_nets()]);
-        let mut a = CycleActivity::zeroed(c.num_nets());
-        a.per_net_mut()[0] = 1;
-        acc.add(&a);
-        let mut b = CycleActivity::zeroed(c.num_nets());
-        b.per_net_mut()[0] = 3;
-        acc.add(&b);
-        assert_eq!(acc.cycles(), 2);
-        assert_eq!(acc.total_transitions_on(NetId::from_index(0)), 4);
-        assert!((acc.toggle_densities()[0] - 2.0).abs() < 1e-12);
-        assert!((acc.mean_transitions_per_cycle() - 2.0).abs() < 1e-12);
     }
 }

@@ -376,7 +376,7 @@ mod tests {
         let mut sim = ZeroDelaySimulator::new(&c);
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..30 {
-            let state = crate::state::random_state_vector(&c, &mut rng);
+            let state: Vec<bool> = (0..c.num_flip_flops()).map(|_| rng.gen_bool(0.5)).collect();
             let inputs = crate::state::random_input_vector(&c, 0.5, &mut rng);
             sim.reset_to(&state, &inputs);
             let expected = compute_next_state(&c, &state, &inputs);

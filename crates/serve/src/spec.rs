@@ -124,10 +124,13 @@ pub struct JobSpec {
     pub input_model: String,
     /// Delay model of the measurement backend.
     pub delay_model: DelayModel,
-    /// The configuration's lane-group measurement backend
-    /// (`auto`/`event-driven`/`time-sliced`). Served jobs are scalar,
-    /// sharded or remote runs, which measure every sample on the
-    /// event-driven wheel and ignore it.
+    /// A lane-group measurement backend name
+    /// (`auto`/`event-driven`/`time-sliced`), parsed and echoed but
+    /// otherwise ignored: served jobs are scalar, sharded or remote runs,
+    /// which measure every sample on the event-driven wheel, and lane
+    /// groups pick their backend themselves. It stays in the job record so
+    /// existing records and clients keep parsing; it shapes neither the
+    /// configuration nor a cache key.
     pub measure_mode: MeasureMode,
     /// Convergence target: maximum relative CI half-width.
     pub relative_error: f64,
@@ -172,7 +175,6 @@ impl JobSpec {
             .with_seed(self.seed)
             .with_accuracy(self.relative_error, self.confidence)
             .with_delay_model(self.delay_model)
-            .with_measure_mode(self.measure_mode)
     }
 
     /// The parsed input model.
@@ -202,8 +204,6 @@ impl JobSpec {
 
     /// Cache key of the compiled-circuit tier: covers the netlist content and
     /// the delay model (a compiled program embeds its delay annotation).
-    /// Deliberately excludes the measure mode: the compiled program is
-    /// backend-independent, so one entry serves every measurement backend.
     pub fn circuit_key(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.update(self.circuit.key_material().as_bytes());
@@ -214,12 +214,9 @@ impl JobSpec {
 
     /// Cache key of the warm-checkpoint tier: the compiled key plus
     /// everything that shapes the simulation stream *before* sampling starts
-    /// — input model, seed and measure mode. Deliberately excludes the
-    /// convergence target: a warm checkpoint is taken before any
-    /// accuracy-dependent decision, so one entry serves every accuracy
-    /// requested for the same stream. The measure mode participates too,
-    /// although served jobs ignore it: jobs that differ only in it get
-    /// distinct entries of equal content.
+    /// — input model and seed. Deliberately excludes the convergence target:
+    /// a warm checkpoint is taken before any accuracy-dependent decision, so
+    /// one entry serves every accuracy requested for the same stream.
     pub fn warm_key(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.update(&self.circuit_key().to_le_bytes());
@@ -227,8 +224,6 @@ impl JobSpec {
         h.update(self.input_model.as_bytes());
         h.update(b"\x00");
         h.update(&self.seed.to_le_bytes());
-        h.update(b"\x00");
-        h.update(self.measure_mode.id().as_bytes());
         h.finish()
     }
 
@@ -527,19 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn measure_mode_round_trips_and_shapes_the_warm_key_only() {
+    fn measure_mode_round_trips_and_shapes_no_key() {
         let mut spec = JobSpec::named("s27");
         spec.measure_mode = MeasureMode::TimeSliced;
         let parsed = JobSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(parsed.config().measure_mode, MeasureMode::TimeSliced);
+        assert_eq!(parsed.measure_mode, MeasureMode::TimeSliced);
         // Absent field defaults to auto.
         let defaulted = JobSpec::from_json(&Json::parse(r#"{"circuit":"s27"}"#).unwrap()).unwrap();
         assert_eq!(defaulted.measure_mode, MeasureMode::Auto);
-        // The compiled artifact is backend-independent; the warm checkpoint
-        // is not.
+        // Served jobs ignore the field, so it moves neither the
+        // configuration nor a cache key: jobs that differ only in it share
+        // one compiled entry and one warm checkpoint.
+        assert_eq!(spec.config(), JobSpec::named("s27").config());
         assert_eq!(spec.circuit_key(), JobSpec::named("s27").circuit_key());
-        assert_ne!(spec.warm_key(), JobSpec::named("s27").warm_key());
+        assert_eq!(spec.warm_key(), JobSpec::named("s27").warm_key());
         // Unknown modes are rejected at parse time.
         let bad = Json::parse(r#"{"circuit":"s27","measure_mode":"wheel"}"#).unwrap();
         assert!(JobSpec::from_json(&bad).is_err());

@@ -18,7 +18,7 @@
 //!   two estimation runs must meet when nothing statistical may differ.
 
 use dipe::input::InputModel;
-use dipe::{run_to_completion, DipeConfig, Estimate, PowerEstimator};
+use dipe::{DipeConfig, Estimate, PowerEstimator};
 use netlist::{iscas89, Circuit};
 
 /// The shared seed family for tests that sweep a few independent seeds.
@@ -63,20 +63,16 @@ pub fn structural_seed(circuit: &Circuit) -> u64 {
     0xD1CE ^ circuit.num_nets() as u64
 }
 
-/// Drives a fresh session of `estimator` to completion under the uniform
-/// input model with seed offset 0.
+/// [`PowerEstimator::run`] under the uniform input model.
 ///
 /// # Panics
 ///
 /// Panics if the session fails to start or to converge — these helpers are
 /// for tests whose configurations are known-good.
 pub fn run(estimator: &dyn PowerEstimator, circuit: &Circuit, config: &DipeConfig) -> Estimate {
-    run_to_completion(
-        estimator
-            .start(circuit, config, &InputModel::uniform(), 0)
-            .expect("session starts"),
-    )
-    .expect("session converges")
+    estimator
+        .run(circuit, config, &InputModel::uniform())
+        .expect("session converges")
 }
 
 /// Asserts two powers are equal up to float-summation reordering: a handful

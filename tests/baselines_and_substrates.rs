@@ -4,7 +4,7 @@
 
 use dipe::baselines::{DecoupledCombinationalEstimator, FixedWarmupEstimator};
 use dipe::input::InputModel;
-use dipe::{DipeConfig, DipeEstimator, LongSimulationReference};
+use dipe::{DipeConfig, DipeEstimator, LongSimulationReference, PowerEstimator};
 use markov::{warmup, StateTransitionGraph};
 use netlist::{bench_format, generator, iscas89};
 
@@ -21,9 +21,9 @@ fn fixed_warmup_baseline_is_accurate_but_wasteful() {
         .run(&circuit, &config, &inputs)
         .unwrap();
     assert!(
-        fixed.relative_deviation_from(reference.mean_power_w()) < 0.08,
+        fixed.relative_deviation_from(reference.mean_power_w) < 0.08,
         "fixed warm-up deviates {:.3}",
-        fixed.relative_deviation_from(reference.mean_power_w())
+        fixed.relative_deviation_from(reference.mean_power_w)
     );
 
     let dipe_result = DipeEstimator::new()
@@ -33,7 +33,7 @@ fn fixed_warmup_baseline_is_accurate_but_wasteful() {
     // sample; DIPE spends the independence interval (a few cycles).
     let fixed_cost = fixed.cycle_counts.zero_delay_cycles as f64 / fixed.sample_size as f64;
     let dipe_cost =
-        dipe_result.cycle_counts().zero_delay_cycles as f64 / dipe_result.sample_size() as f64;
+        dipe_result.cycle_counts.zero_delay_cycles as f64 / dipe_result.sample_size as f64;
     assert!(
         fixed_cost > 10.0 * dipe_cost,
         "fixed warm-up cost/sample {fixed_cost:.1} should dwarf DIPE's {dipe_cost:.1}"
@@ -57,7 +57,7 @@ fn decoupled_baseline_runs_on_several_circuits() {
         }
         .run(&circuit, &config, &InputModel::uniform())
         .unwrap();
-        let ratio = decoupled.mean_power_w / reference.mean_power_w();
+        let ratio = decoupled.mean_power_w / reference.mean_power_w;
         assert!(
             ratio > 0.5 && ratio < 2.0,
             "{name}: decoupled/reference ratio {ratio:.3} implausible"
@@ -139,9 +139,9 @@ fn generated_circuits_flow_through_the_whole_stack() {
         .run(&circuit, &config, &InputModel::uniform())
         .unwrap();
     assert!(
-        result.relative_deviation_from(reference.mean_power_w()) < 0.08,
+        result.relative_deviation_from(reference.mean_power_w) < 0.08,
         "deviation {:.3}",
-        result.relative_deviation_from(reference.mean_power_w())
+        result.relative_deviation_from(reference.mean_power_w)
     );
 }
 
@@ -161,19 +161,19 @@ fn correlated_inputs_change_power_but_not_accuracy() {
         .unwrap();
     // Strongly correlated (slowly changing) inputs reduce switching activity.
     assert!(
-        reference_cor.mean_power_w() < reference_ind.mean_power_w(),
+        reference_cor.mean_power_w < reference_ind.mean_power_w,
         "correlated {:.3e} vs independent {:.3e}",
-        reference_cor.mean_power_w(),
-        reference_ind.mean_power_w()
+        reference_cor.mean_power_w,
+        reference_ind.mean_power_w
     );
     // DIPE still tracks its own reference under correlated inputs.
     let result = DipeEstimator::new()
         .run(&circuit, &config, &correlated)
         .unwrap();
     assert!(
-        result.relative_deviation_from(reference_cor.mean_power_w()) < 0.08,
+        result.relative_deviation_from(reference_cor.mean_power_w) < 0.08,
         "deviation {:.3}",
-        result.relative_deviation_from(reference_cor.mean_power_w())
+        result.relative_deviation_from(reference_cor.mean_power_w)
     );
 }
 

@@ -2,7 +2,10 @@
 //! references, across crates.
 
 use dipe::input::InputModel;
-use dipe::{CriterionKind, DipeConfig, DipeEstimator, LongSimulationReference};
+use dipe::{
+    CriterionKind, Diagnostics, DipeConfig, DipeEstimator, Estimate, LongSimulationReference,
+    PowerEstimator,
+};
 use netlist::iscas89;
 
 /// Runs DIPE and a reference on one circuit and returns (estimate, reference)
@@ -16,7 +19,15 @@ fn estimate_and_reference(name: &str, seed: u64, reference_cycles: usize) -> (f6
     let reference = LongSimulationReference::new(reference_cycles)
         .run(&circuit, &config, &InputModel::uniform())
         .unwrap();
-    (result.mean_power_w(), reference.mean_power_w())
+    (result.mean_power_w, reference.mean_power_w)
+}
+
+/// The raw power sample of a DIPE estimate.
+fn dipe_sample(estimate: &Estimate) -> &[f64] {
+    match &estimate.diagnostics {
+        Diagnostics::Dipe { sample, .. } => sample,
+        other => panic!("expected DIPE diagnostics, got {other:?}"),
+    }
 }
 
 #[test]
@@ -61,18 +72,15 @@ fn table1_shape_holds_on_a_small_suite() {
             .run(&circuit, &config, &InputModel::uniform())
             .unwrap();
 
-        let deviation = result.relative_deviation_from(reference.mean_power_w());
+        let deviation = result.relative_deviation_from(reference.mean_power_w);
         assert!(deviation < 0.08, "{name}: deviation {deviation:.3}");
+        let interval = result.independence_interval().unwrap();
+        assert!(interval <= 10, "{name}: interval {interval}");
         assert!(
-            result.independence_interval() <= 10,
-            "{name}: interval {}",
-            result.independence_interval()
-        );
-        assert!(
-            (result.sample_size() as f64) < 0.5 * reference.cycles() as f64,
+            (result.sample_size as f64) < 0.5 * reference.sample_size as f64,
             "{name}: sample {} not much smaller than reference {}",
-            result.sample_size(),
-            reference.cycles()
+            result.sample_size,
+            reference.sample_size
         );
     }
 }
@@ -96,11 +104,11 @@ fn estimation_works_with_every_stopping_criterion() {
         let result = DipeEstimator::new()
             .run(&circuit, &config, &InputModel::uniform())
             .unwrap();
-        let deviation = result.relative_deviation_from(reference.mean_power_w());
+        let deviation = result.relative_deviation_from(reference.mean_power_w);
         assert!(
             deviation < 0.10,
             "{kind:?}: deviation {deviation:.3} ({} samples)",
-            result.sample_size()
+            result.sample_size
         );
     }
 }
@@ -119,11 +127,11 @@ fn whole_flow_is_deterministic() {
     };
     let a = run(77);
     let b = run(77);
-    assert_eq!(a.mean_power_w(), b.mean_power_w());
-    assert_eq!(a.sample(), b.sample());
+    assert_eq!(a.mean_power_w, b.mean_power_w);
+    assert_eq!(dipe_sample(&a), dipe_sample(&b));
     assert_eq!(a.independence_interval(), b.independence_interval());
     let c = run(78);
-    assert_ne!(a.sample(), c.sample());
+    assert_ne!(dipe_sample(&a), dipe_sample(&c));
 }
 
 #[test]
@@ -141,7 +149,7 @@ fn power_scales_with_clock_and_supply() {
         DipeEstimator::new()
             .run(&circuit, &config, &InputModel::uniform())
             .unwrap()
-            .mean_power_w()
+            .mean_power_w
     };
     let p_base = run(base);
     let p_fast = run(double_clock);

@@ -242,18 +242,16 @@ fn divergent_annotations_are_rejected_not_approximated() {
     EventDrivenSimulator::with_delays(&circuit, DelayModel::Unit(100), &annotation);
 
     // The random model's 60–340 ps draws have gcd ≈ 1 ps: far over the
-    // 63-slot horizon, so `SlotSchedule::supports` (the CLI/auto dispatch
+    // 63-slot horizon, so the slot schedule (the lane groups' dispatch
     // predicate) must refuse it on every catalogue circuit.
+    let random = DelayModel::Random {
+        seed: 7,
+        min_ps: 60,
+        max_ps: 340,
+    };
     for name in ["s27", "s298", "s1494"] {
         let circuit = iscas89::load(name).unwrap();
-        match SlotSchedule::supports(
-            &circuit,
-            DelayModel::Random {
-                seed: 7,
-                min_ps: 60,
-                max_ps: 340,
-            },
-        ) {
+        match SlotSchedule::try_from_delays(&random.annotate(&circuit)) {
             Err(SlotRejection::HorizonExceeded { required_slots, .. }) => {
                 assert!(required_slots > SlotSchedule::MAX_SLOTS);
             }
